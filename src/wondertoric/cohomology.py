@@ -5,6 +5,15 @@ relations.  All graded queries reduce to exact integer linear algebra on one
 graded slice at a time: no Groebner machinery, no rational arithmetic in the
 quotients.
 
+A slice is indexed by the standard monomials of its degree: the monomials in
+the surviving generators that no unit-monomial relation (one term with
+coefficient +-1, such as a Stanley-Reisner product) divides.  Z[x] modulo
+monomials is free on them, so only the other relations become rows, shifted
+by standard monomials, with their non-standard terms dropped.  The HNF over
+all monomials is a unit row per non-standard monomial plus the HNF over the
+standard ones, so ranks, torsion and `normal_form` are those of the slice
+over all monomials; `GradedRing.full_hnf_rows` rebuilds that HNF.
+
 Polynomials are dicts mapping exponent tuples (one slot per generator) to
 integer coefficients; `canon_terms` freezes them for storage.
 """
@@ -15,16 +24,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotValidated
+from .errors import InvariantViolated, NotValidated
 from .fans import induced_fan, rays_in_kernel, validate_complete, validate_smooth
 from .lattice import elementary_divisors, xgcd
 
 # ---------------------------------------------------------------------------
 # polynomial helpers
-
-
-def pzero():
-    return {}
 
 
 def pconst(c, nvars):
@@ -46,13 +51,6 @@ def padd(a, b):
         else:
             out.pop(e, None)
     return out
-
-
-def pscale(a, c):
-    c = int(c)
-    if not c:
-        return {}
-    return {e: c * v for e, v in a.items()}
 
 
 def pmul(a, b):
@@ -207,7 +205,7 @@ class GradedRing:
 
     `eliminate` lists generator indices removed via the degree-1 relations;
     `substitutions` maps each of them to its expression in the surviving
-    generators.  Slice tables are cached per degree.
+    generators.  Standard monomials and slice tables are cached per degree.
     """
 
     def __init__(self, names, relations, eliminate=(), substitutions=None, fan=None):
@@ -221,10 +219,16 @@ class GradedRing:
         self.relations = tuple(rels)
         self.eliminate = tuple(eliminate)
         self.substitutions = {int(v): dict(p) for v, p in (substitutions or {}).items()}
-        assert set(self.substitutions) == set(self.eliminate)
+        if set(self.substitutions) != set(self.eliminate):
+            raise InvariantViolated(
+                "substitutions %r do not match the eliminated generators %r"
+                % (sorted(self.substitutions), sorted(self.eliminate))
+            )
         self.fan = fan
         self.surviving = tuple(i for i in range(self.nvars) if i not in set(eliminate))
         self._subbed = None
+        self._split = None
+        self._standard = {}
         self._tables = {}
         self._powers = {}
 
@@ -268,6 +272,20 @@ class GradedRing:
             self._subbed = tuple(subbed)
         return self._subbed
 
+    def _split_relations(self):
+        """(exponents of the unit-monomial substituted relations, the other
+        substituted relations as (polynomial, degree) pairs)."""
+        if self._split is None:
+            units, others = set(), []
+            for r in self.substituted_relations():
+                if len(r) == 1 and abs(r[0][1]) == 1:
+                    units.add(r[0][0])
+                else:
+                    p = from_terms(r)
+                    others.append((p, pdegree(p)))
+            self._split = (frozenset(units), tuple(others))
+        return self._split
+
     # -- graded slices -------------------------------------------------------
 
     def monomials(self, d):
@@ -280,31 +298,77 @@ class GradedRing:
             out.append(tuple(e))
         return out
 
+    def standard_monomials(self, d):
+        """The degree-d monomials in surviving vars that no unit-monomial
+        relation divides, in the order of `monomials(d)`.
+
+        The set is closed under taking divisors, so it grows from degree d-1
+        one variable at a time: a monomial is standard when it is no unit
+        relation itself and each of its quotients by one variable is
+        standard.
+        """
+        if d not in self._standard:
+            units = self._split_relations()[0]
+            if d == 0:
+                zero = (0,) * self.nvars
+                out = [] if zero in units else [zero]
+            else:
+                prev = set(self.standard_monomials(d - 1))
+                grown = {
+                    m[:i] + (m[i] + 1,) + m[i + 1 :]
+                    for m in prev
+                    for i in self.surviving
+                }
+                out = [
+                    e
+                    for e in grown
+                    if e not in units
+                    and all(
+                        e[:j] + (k - 1,) + e[j + 1 :] in prev
+                        for j, k in enumerate(e)
+                        if k
+                    )
+                ]
+                out.sort(reverse=True)  # monomials(d) is descending lex order
+            self._standard[d] = out
+        return self._standard[d]
+
     def slice_table(self, d):
+        """(standard monomials, their column index, row echelon of the
+        degree-d relations over those columns)."""
         if d not in self._tables:
-            momos = self.monomials(d)
+            momos = self.standard_monomials(d)
             index = {e: k for k, e in enumerate(momos)}
             ech = RowEchelon(len(momos))
-            for r in self.substituted_relations():
-                p = from_terms(r)
-                e = pdegree(p)
+            for p, e in self._split_relations()[1]:
                 if e > d:
                     continue
-                for shift in self.monomials(d - e):
-                    shifted = pmul_mono(p, shift)
-                    row = [0] * len(momos)
-                    for exp, c in shifted.items():
-                        row[index[exp]] = c
-                    ech.insert(row)
+                for shift in self.standard_monomials(d - e):
+                    ech.insert(slice_row(pmul_mono(p, shift), index))
             self._tables[d] = (momos, index, ech)
         return self._tables[d]
 
     def vector_of(self, p, d):
-        momos, index, _ = self.slice_table(d)
-        row = [0] * len(momos)
-        for e, c in p.items():
-            row[index[e]] = c
-        return row
+        return slice_row(p, self.slice_table(d)[1])
+
+    def full_hnf_rows(self, d, rows=None):
+        """HNF over all of `monomials(d)`: a unit row per non-standard
+        monomial plus `rows` (default: the slice's HNF), which live on the
+        standard columns, placed in their columns."""
+        _, index, ech = self.slice_table(d)
+        allmomos = self.monomials(d)
+        width = len(allmomos)
+        where = [j for j, e in enumerate(allmomos) if e in index]
+        by_pivot = {}
+        for j, e in enumerate(allmomos):
+            if e not in index:
+                by_pivot[j] = tuple(int(k == j) for k in range(width))
+        for row in ech.hnf_rows() if rows is None else rows:
+            full = [0] * width
+            for j, c in zip(where, row):
+                full[j] = c
+            by_pivot[where[next(k for k, c in enumerate(row) if c)]] = tuple(full)
+        return [by_pivot[j] for j in sorted(by_pivot)]
 
     def normal_form(self, p):
         """Canonical representative: substitute, then reduce each homogeneous
@@ -330,6 +394,18 @@ class GradedRing:
 
     def graded_torsion(self, d):
         return self.slice_table(d)[2].torsion()
+
+
+def slice_row(p, index):
+    """Coefficients of p on the indexed standard monomials of one slice.  The
+    terms left out are multiples of unit-monomial relations, zero in the
+    ring."""
+    row = [0] * len(index)
+    for e, c in p.items():
+        k = index.get(e)
+        if k is not None:
+            row[k] = c
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -482,26 +558,23 @@ def restriction_map(ring, lat, f):
 
 
 def kernel_lattice(rmap, d):
-    """HNF basis of the degree-d part of the full kernel lattice: source
-    slice vectors whose image lands in the target relation span."""
+    """HNF basis of the degree-d part of the full kernel lattice: vectors
+    over the source's `monomials(d)` whose image lands in the target
+    relation span."""
     from .lattice import hermite_normal_form, kernel_basis
 
     src, tgt = rmap.source, rmap.target
-    src_momos, _, src_ech = src.slice_table(d)
+    src_momos = src.monomials(d)
     tgt_momos, tgt_index, tgt_ech = tgt.slice_table(d)
-    cols = []
-    for e in src_momos:
-        image = tgt.substitute(rmap.apply({e: 1}))
-        col = [0] * len(tgt_momos)
-        for exp, c in image.items():
-            col[tgt_index[exp]] = c
-        cols.append(col)
+    cols = [
+        slice_row(tgt.substitute(rmap.apply({e: 1})), tgt_index) for e in src_momos
+    ]
     rel_rows = tgt_ech.hnf_rows()
     # kernel of [images | -relations] projected onto the source coordinates
     width = len(src_momos) + len(rel_rows)
     mat = []
     for row_idx in range(len(tgt_momos)):
-        row = [cols[j][row_idx] for j in range(len(src_momos))]
+        row = [col[row_idx] for col in cols]
         row += [-r[row_idx] for r in rel_rows]
         mat.append(row)
     ker = kernel_basis(mat, width)
@@ -510,12 +583,12 @@ def kernel_lattice(rmap, d):
 
 
 def ideal_slice(ring, extra_gens, d):
-    """HNF of the degree-d span of the ring's relations plus extra ideal
-    generators (given as polynomials)."""
-    momos, index, ech = ring.slice_table(d)
-    full = RowEchelon(len(momos))
+    """HNF over `monomials(d)` of the degree-d span of the ring's relations
+    plus extra ideal generators (given as polynomials)."""
+    _, index, ech = ring.slice_table(d)
+    span = RowEchelon(len(index))
     for row in ech.hnf_rows():
-        full.insert(list(row))
+        span.insert(row)
     for g in extra_gens:
         p = ring.substitute(g)
         if not p:
@@ -523,13 +596,9 @@ def ideal_slice(ring, extra_gens, d):
         e = pdegree(p)
         if e > d:
             continue
-        for shift in ring.monomials(d - e):
-            shifted = pmul_mono(p, shift)
-            row = [0] * len(momos)
-            for exp, c in shifted.items():
-                row[index[exp]] = c
-            full.insert(row)
-    return tuple(full.hnf_rows())
+        for shift in ring.standard_monomials(d - e):
+            span.insert(slice_row(pmul_mono(p, shift), index))
+    return tuple(ring.full_hnf_rows(d, span.hnf_rows()))
 
 
 def restriction_kernel_report(rmap, kernel_gens, max_degree):

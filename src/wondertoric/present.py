@@ -34,7 +34,14 @@ from .cohomology import (
     ppow,
     pvar,
 )
-from .errors import BadOrder, DegreeMismatch, NotBuilding, NotGood, NotNested
+from .errors import (
+    BadOrder,
+    DegreeMismatch,
+    InvariantViolated,
+    NotBuilding,
+    NotGood,
+    NotNested,
+)
 from .fans import fan_to_dict, merge_reports, pairing, rays_in_kernel, validate_good
 from .layers import (
     closure_nonempty_with_orbit,
@@ -143,6 +150,7 @@ def _assemble(f, building, nested, lift_rel):
         return pvar(nc + pos, nvars)
 
     groups = []
+    lifts = {}  # (G, M) -> lift_rel(G, M, base, f): each distinct pair once
 
     for s in minimal_nonfaces(f):
         e = [0] * nvars
@@ -199,9 +207,15 @@ def _assemble(f, building, nested, lift_rel):
                     holding = [
                         k for k in comps if layer_inclusion(g_layer, k)
                     ]
-                    assert len(holding) == 1  # components are disjoint
+                    if len(holding) != 1:  # components are disjoint
+                        raise InvariantViolated(
+                            "member %d lies in %d components of %r"
+                            % (i, len(holding), combo)
+                        )
                     mlayer = holding[0]
-                p = lift_rel(g_layer, mlayer, base, f)
+                if (g_layer, mlayer) not in lifts:
+                    lifts[g_layer, mlayer] = lift_rel(g_layer, mlayer, base, f)
+                p = lifts[g_layer, mlayer]
                 poly = {}
                 for k, coeff in enumerate(p.coeff_polys()):
                     piece = pmul(ext(coeff), ppow(shift, k, nvars))
@@ -210,7 +224,12 @@ def _assemble(f, building, nested, lift_rel):
                 for j in a:
                     e[nc + j] += 1
                 poly = pmul_mono(poly, tuple(e))
-                assert pdegree(poly) == g_layer.codim - mlayer.codim + len(a)
+                want = g_layer.codim - mlayer.codim + len(a)
+                if pdegree(poly) != want:
+                    raise InvariantViolated(
+                        "F(%d, %r) has degree %d, not %d"
+                        % (i, list(a), pdegree(poly), want)
+                    )
                 groups.append(
                     (
                         "F",
@@ -294,22 +313,25 @@ def hilbert_function(pres, max_degree=None):
     torsion = tuple(pres.ring.graded_torsion(d) for d in range(max_degree + 1))
     top = n - stratum_size(pres)
     if max_degree >= top:
-        assert ranks[top] == 1, "top degree rank is %d" % ranks[top]
-        assert all(r == 0 for r in ranks[top + 1 :])
+        if ranks[top] != 1:
+            raise InvariantViolated("top degree rank is %d" % ranks[top])
+        if any(ranks[top + 1 :]):
+            raise InvariantViolated("ranks above the top degree: %r" % (ranks,))
     if stratum_size(pres) == 0 and max_degree >= n:
-        assert all(ranks[d] == ranks[n - d] for d in range(n + 1))
+        if any(ranks[d] != ranks[n - d] for d in range(n + 1)):
+            raise InvariantViolated("ranks are not palindromic: %r" % (ranks,))
     return ranks, torsion
 
 
 def ideal_equal_up_to(pres_a, pres_b, max_degree):
     """Degree-by-degree equality of the relation lattices of two
-    presentations on the same generators."""
+    presentations on the same generators.  The HNFs are compared over all
+    monomials, since the two rings' standard monomials differ when their
+    unit-monomial relations do."""
     if pres_a.ring.names != pres_b.ring.names:
         raise DegreeMismatch("presentations live on different generators")
     for d in range(max_degree + 1):
-        rows_a = tuple(pres_a.ring.slice_table(d)[2].hnf_rows())
-        rows_b = tuple(pres_b.ring.slice_table(d)[2].hnf_rows())
-        if rows_a != rows_b:
+        if pres_a.ring.full_hnf_rows(d) != pres_b.ring.full_hnf_rows(d):
             return False
     return True
 

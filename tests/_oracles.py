@@ -2,13 +2,23 @@
 
 These deliberately take a different route from the library code they verify:
 nestedness in the augmented building set is re-derived from the full
-stratified poset of (layer, cone) pairs.
+stratified poset of (layer, cone) pairs, and ring slices are rebuilt over
+every monomial of their degree with every relation as a row.
 """
 
 import itertools
 
 from wondertoric.building import is_antichain, minimal_containing
-from wondertoric.fans import pairing
+from wondertoric.cohomology import (
+    RowEchelon,
+    canon_terms,
+    from_terms,
+    pdegree,
+    pmul_mono,
+    psplit,
+)
+from wondertoric.fans import Report, pairing
+from wondertoric.lattice import hermite_normal_form, kernel_basis
 from wondertoric.layers import intersect_layers
 
 
@@ -68,3 +78,90 @@ def witness_exists(layer_part, ray_part, building, f):
         ):
             return True
     return False
+
+
+# -- ring slices over all monomials ----------------------------------------
+
+
+def full_slice_reference(ring, d):
+    """(monomials, index, row echelon) of the degree-d slice with a column
+    per monomial in the surviving generators and a row per substituted
+    relation, unit monomials included, times every monomial of the
+    complementary degree."""
+    momos = ring.monomials(d)
+    index = {e: k for k, e in enumerate(momos)}
+    ech = RowEchelon(len(momos))
+    for r in ring.substituted_relations():
+        p = from_terms(r)
+        e = pdegree(p)
+        if e > d:
+            continue
+        for shift in ring.monomials(d - e):
+            row = [0] * len(momos)
+            for exp, c in pmul_mono(p, shift).items():
+                row[index[exp]] = c
+            ech.insert(row)
+    return momos, index, ech
+
+
+class FullSlices:
+    """full_slice_reference per degree of one ring, built on first use."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._tables = {}
+
+    def __call__(self, d):
+        if d not in self._tables:
+            self._tables[d] = full_slice_reference(self.ring, d)
+        return self._tables[d]
+
+    def vector_of(self, p, d):
+        momos, index, _ = self(d)
+        row = [0] * len(momos)
+        for e, c in p.items():
+            row[index[e]] = c
+        return row
+
+    def normal_form(self, p):
+        """Frozen terms of the reduced representative of p."""
+        out = {}
+        for d, part in psplit(self.ring.substitute(p)).items():
+            momos, _, ech = self(d)
+            for e, c in zip(momos, ech.reduce_vector(self.vector_of(part, d))):
+                if c:
+                    out[e] = c
+        return canon_terms(out)
+
+
+def restriction_kernel_reference(rmap, kernel_gens, max_degree):
+    """restriction_kernel_report computed on full slices of both rings."""
+    src = FullSlices(rmap.source)
+    tgt = FullSlices(rmap.target)
+    bad = []
+    for d in range(1, max_degree + 1):
+        src_momos, _, src_ech = src(d)
+        tgt_momos, _, tgt_ech = tgt(d)
+        cols = [
+            tgt.vector_of(rmap.target.substitute(rmap.apply({e: 1})), d)
+            for e in src_momos
+        ]
+        rel_rows = tgt_ech.hnf_rows()
+        mat = [
+            [col[i] for col in cols] + [-r[i] for r in rel_rows]
+            for i in range(len(tgt_momos))
+        ]
+        ker = kernel_basis(mat, len(src_momos) + len(rel_rows))
+        got = tuple(hermite_normal_form([row[: len(src_momos)] for row in ker]))
+        span = RowEchelon(len(src_momos))
+        for row in src_ech.hnf_rows():
+            span.insert(row)
+        for g in kernel_gens:
+            p = rmap.source.substitute(g)
+            if not p or pdegree(p) > d:
+                continue
+            for shift in rmap.source.monomials(d - pdegree(p)):
+                span.insert(src.vector_of(pmul_mono(p, shift), d))
+        if got != tuple(span.hnf_rows()):
+            bad.append(("kernel_mismatch", d))
+    return Report(not bad, tuple(bad))

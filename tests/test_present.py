@@ -1,11 +1,20 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+import types
+
 import pytest
 
+import wondertoric
 from wondertoric.building import BuildingSet, building_set
 from wondertoric.chern import LiftedChernPoly, lift_chern_relative
-from wondertoric.cohomology import from_terms, pvar
+from wondertoric.cohomology import GradedRing, from_terms, pvar
 from wondertoric.errors import (
     BadOrder,
     DegreeMismatch,
+    InvariantViolated,
     NotBuilding,
     NotGood,
     NotNested,
@@ -13,6 +22,7 @@ from wondertoric.errors import (
 from wondertoric.fans import fan, rays_in_kernel
 from wondertoric.layers import build_layer_poset, layer
 from wondertoric.present import (
+    ModelPresentation,
     assemble_model_ideal,
     assemble_stratum_ideal,
     hilbert_function,
@@ -209,3 +219,50 @@ def test_json_document():
     )
     sdoc = presentation_to_dict(strat)
     assert sdoc["nested"] == {"members": [0], "rays": []}
+
+
+def test_hilbert_guards_raise():
+    def pres(rank, names, relations):
+        ring = GradedRing(names, relations)
+        return ModelPresentation(types.SimpleNamespace(rank=rank), None, None, ring, ())
+
+    # Z[x]/(x^3) has ranks (1, 1, 1), Z[x]/(x) has (1, 0, 0)
+    with pytest.raises(InvariantViolated, match="above the top degree"):
+        hilbert_function(pres(1, "x", [{(3,): 1}]))
+    with pytest.raises(InvariantViolated, match="top degree rank is 0"):
+        hilbert_function(pres(1, "x", [{(1,): 1}]))
+    # Z[x,y]/(x^2, xy, y^4) has ranks (1, 2, 1, 1, 0)
+    with pytest.raises(InvariantViolated, match="not palindromic"):
+        hilbert_function(pres(3, "xy", [{(2, 0): 1}, {(1, 1): 1}, {(0, 4): 1}]))
+    ranks, _ = hilbert_function(pres(2, "xy", [{(2, 0): 1}, {(0, 2): 1}]))
+    assert ranks == (1, 2, 1, 0)
+
+
+def test_guard_raises_under_python_O():
+    """Result guards are raised errors, not asserts, so -O keeps them."""
+    script = textwrap.dedent(
+        """
+        import types
+        from wondertoric.cohomology import GradedRing
+        from wondertoric.errors import InvariantViolated
+        from wondertoric.present import ModelPresentation, hilbert_function
+
+        assert False, "asserts must be off under -O"
+        ring = GradedRing("x", [{(3,): 1}])
+        pres = ModelPresentation(types.SimpleNamespace(rank=1), None, None, ring, ())
+        try:
+            hilbert_function(pres)
+        except InvariantViolated:
+            raise SystemExit(0)
+        raise SystemExit(5)
+        """
+    )
+    src = str(pathlib.Path(wondertoric.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,258 @@
+"""Standard-monomial slices against the all-monomial reference slices.
+
+A ring's slices have a column per standard monomial only.  Every graded
+query must read as it does on `_oracles.full_slice_reference`, which has a
+column per monomial and a row per relation: ranks, torsion, normal forms,
+the HNF over all monomials and the restriction-kernel verdicts.
+"""
+
+import functools
+import itertools
+import pathlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import FullSlices, restriction_kernel_reference
+from wondertoric.building import building_set
+from wondertoric.cohomology import (
+    GradedRing,
+    danilov_ring,
+    pvar,
+    restriction_kernel_report,
+    restriction_map,
+)
+from wondertoric.fans import fan, rays_in_kernel, search_good_fan, validate_good
+from wondertoric.jobs import job_building, job_poset, load_job
+from wondertoric.layers import build_layer_poset, layer
+from wondertoric.present import (
+    ModelPresentation,
+    assemble_model_ideal,
+    assemble_stratum_ideal,
+    ideal_equal_up_to,
+    nested_set,
+)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+STEMS = sorted(p.name[: -len(".job.json")] for p in GOLDEN.glob("*.job.json"))
+
+P1XP1 = fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (0, 3), (1, 2), (1, 3)])
+CUBE = fan(
+    3,
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+)
+
+# normal forms are checked on every monomial in all generators up to this
+# many per degree, taken evenly from the canonical order
+NF_SAMPLE = 400
+
+
+def golden_model(stem):
+    """(fan, poset, presentation) of a golden job; a fan that is not good
+    for the arrangement is repaired first, as `goodfan --search` does."""
+    job = load_job(GOLDEN / (stem + ".job.json"))
+    poset = job_poset(job)
+    b = job_building(job, poset)
+    f = job.fan
+    lats = [e.gamma for e in poset.elements]
+    if not validate_good(f, lats).ok:
+        f, _ = search_good_fan(f, lats)
+    if job.nested is None:
+        pres = assemble_model_ideal(f, b)
+    else:
+        pres = assemble_stratum_ideal(f, b, nested_set(*job.nested))
+    return f, poset, pres
+
+
+@functools.lru_cache(maxsize=None)
+def cube_model():
+    """Three coordinate planes of (P1)^3, as in the model_rank3 workload."""
+    planes = [((1, 0, 0), 5), ((0, 1, 0), 11), ((0, 0, 1), 60)]
+    poset = build_layer_poset(
+        [layer([chi], [Fraction(k, 97)], 3) for chi, k in planes]
+    )
+    pres = assemble_model_ideal(CUBE, building_set(poset))
+    return poset, pres, FullSlices(pres.ring)
+
+
+def all_monomials(nvars, d):
+    out = []
+    for combo in itertools.combinations_with_replacement(range(nvars), d):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
+
+
+def check_slices(ring, top, ref=None):
+    ref = ref or FullSlices(ring)
+    for d in range(top + 1):
+        momos, _, ech = ref(d)
+        assert ring.graded_rank(d) == len(momos) - ech.rank
+        assert ring.graded_torsion(d) == ech.torsion()
+        assert ring.full_hnf_rows(d) == ech.hnf_rows()
+    return ref
+
+
+def check_normal_forms(ring, top, ref):
+    for d in range(top + 1):
+        monos = all_monomials(ring.nvars, d)
+        step = -(-len(monos) // NF_SAMPLE)
+        for e in monos[::step]:
+            assert ring.normal_form({e: 1}).terms == ref.normal_form({e: 1})
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_golden_slices_match_reference(stem):
+    f, _, pres = golden_model(stem)
+    ref = check_slices(pres.ring, f.rank + 1)
+    check_normal_forms(pres.ring, f.rank + 1, ref)
+
+
+def test_cube_model_slices_match_reference():
+    _, pres, ref = cube_model()
+    ring = pres.ring
+    assert len(ring.standard_monomials(4)) < len(ring.monomials(4))
+    check_slices(ring, 4, ref)
+    check_normal_forms(ring, 4, ref)
+
+
+def restriction_cases(f, poset):
+    ring = danilov_ring(f)
+    for el in poset.elements:
+        _, rmap = restriction_map(ring, el.gamma, f)
+        inside = set(rays_in_kernel(f, el.gamma))
+        dead = [pvar(r, ring.nvars) for r in range(len(f.rays)) if r not in inside]
+        alive = [pvar(r, ring.nvars) for r in sorted(inside)]
+        for gens in (dead, [], dead[:1], alive[:1]):
+            yield rmap, gens
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_golden_restriction_verdicts_match_reference(stem):
+    f, poset, _ = golden_model(stem)
+    for rmap, gens in restriction_cases(f, poset):
+        want = restriction_kernel_reference(rmap, gens, f.rank)
+        assert restriction_kernel_report(rmap, gens, f.rank) == want
+
+
+def test_cube_restriction_verdicts_match_reference():
+    poset, _, _ = cube_model()
+    verdicts = set()
+    for rmap, gens in restriction_cases(CUBE, poset):
+        want = restriction_kernel_reference(rmap, gens, 3)
+        assert restriction_kernel_report(rmap, gens, 3) == want
+        verdicts.add(want.ok)
+    assert verdicts == {True, False}
+
+
+def test_model_and_stratum_ideals_stay_unequal():
+    _, _, model = golden_model("p1xp1_coordinate")
+    _, _, stratum = golden_model("p1xp1_stratum")
+    assert not ideal_equal_up_to(model, stratum, 3)
+    full_a, full_b = FullSlices(model.ring), FullSlices(stratum.ring)
+    assert any(full_a(d)[2].hnf_rows() != full_b(d)[2].hnf_rows() for d in range(4))
+
+
+def test_ideal_equal_when_only_one_ring_lists_a_monomial():
+    names = ("x", "y")
+    xy = {(1, 1): 1}
+    diff = {(2, 0): 1, (0, 2): -1}
+    with_monomial = GradedRing(names, [xy, diff])
+    without = GradedRing(names, [{(1, 1): 1, (2, 0): 1, (0, 2): -1}, diff])
+    assert with_monomial.standard_monomials(2) != without.standard_monomials(2)
+
+    def pres(ring):
+        return ModelPresentation(None, None, None, ring, ())
+
+    assert ideal_equal_up_to(pres(with_monomial), pres(without), 4)
+    assert not ideal_equal_up_to(pres(with_monomial), pres(GradedRing(names, [xy])), 4)
+    assert not ideal_equal_up_to(pres(with_monomial), pres(GradedRing(names, [diff])), 4)
+
+
+def test_non_unit_monomial_relation_stays_a_row():
+    # 2xy is a monomial, but not a unit one: it leaves torsion Z/2 in degree 2
+    ring = GradedRing(("x", "y"), [{(1, 1): 2}, {(2, 0): 1}, {(0, 2): -1}])
+    assert ring.standard_monomials(2) == [(1, 1)]
+    assert ring.graded_torsion(2) == (2,)
+    check_slices(ring, 3)
+
+
+# -- Hypothesis cases ------------------------------------------------------------
+
+
+@st.composite
+def small_rings(draw):
+    """A ring on three generators with random homogeneous relations of
+    degree 1 to 3, one to three terms each, coefficients +-1 or +-2; half of
+    them eliminate the first generator by a linear substitution."""
+    nvars = 3
+    relations = []
+    for _ in range(draw(st.integers(1, 5))):
+        d = draw(st.integers(1, 3))
+        monos = st.sampled_from(all_monomials(nvars, d))
+        exps = draw(st.lists(monos, min_size=1, max_size=3, unique=True))
+        relations.append({e: draw(st.sampled_from((-2, -1, 1, 2))) for e in exps})
+    if draw(st.booleans()):
+        subst = {0: {(0, 1, 0): draw(st.sampled_from((-2, -1, 1, 2))), (0, 0, 1): 1}}
+        return GradedRing("xyz", relations, eliminate=(0,), substitutions=subst)
+    return GradedRing("xyz", relations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring=small_rings(), data=st.data())
+def test_random_rings_match_reference(ring, data):
+    ref = check_slices(ring, 4)
+    for p in data.draw(st.lists(polynomials(ring.nvars, 4), min_size=1, max_size=4)):
+        assert ring.normal_form(p).terms == ref.normal_form(p)
+
+
+def polynomials(nvars, max_degree):
+    term = st.tuples(
+        st.lists(st.integers(0, nvars - 1), max_size=max_degree),
+        st.integers(-6, 6),
+    )
+    return st.lists(term, max_size=6).map(lambda terms: poly_of(terms, nvars))
+
+
+def poly_of(terms, nvars):
+    out = {}
+    for vars_, c in terms:
+        e = [0] * nvars
+        for i in vars_:
+            e[i] += 1
+        out[tuple(e)] = out.get(tuple(e), 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    a=st.integers(1, 2),
+    b=st.integers(0, 2),
+    ks=st.lists(st.integers(0, 96), min_size=4, max_size=4, unique=True),
+    data=st.data(),
+)
+def test_p1xp1_curves_match_reference(a, b, ks, data):
+    curves = [((1, 0), k) for k in ks[:a]] + [((0, 1), k) for k in ks[a : a + b]]
+    poset = build_layer_poset(
+        [layer([chi], [Fraction(k, 97)], 2) for chi, k in curves]
+    )
+    ring = assemble_model_ideal(P1XP1, building_set(poset)).ring
+    ref = check_slices(ring, 3)
+    for p in data.draw(st.lists(polynomials(ring.nvars, 3), min_size=1, max_size=5)):
+        assert ring.normal_form(p).terms == ref.normal_form(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cube_normal_form_of_random_polynomials(data):
+    _, pres, ref = cube_model()
+    p = data.draw(polynomials(pres.ring.nvars, 4))
+    nf = pres.ring.normal_form(p)
+    assert nf.terms == ref.normal_form(p)
+    # the representative is canonical: reducing it again changes nothing
+    assert pres.ring.normal_form(nf.poly()).terms == nf.terms
