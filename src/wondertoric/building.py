@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CycleDetected, NotBuilding, NotLast
-from .fans import Report, merge_reports, pairing
-from .layers import LayerPoset, build_layer_poset, intersect_layers, layer_inclusion
+from .fans import Report, merge_reports, rays_in_kernel
+from .layers import LayerPoset, intersect_layers, layer_inclusion
 from .lattice import saturate, span_rows
 
 
@@ -53,30 +53,52 @@ def validate_building(candidate_ids, poset):
     return Report(not bad, tuple(bad))
 
 
-def is_antichain(ids, poset):
-    return not any(
-        a != b and poset.inclusion[a][b] for a, b in itertools.permutations(ids, 2)
-    )
+def antichains(ids, poset, start=None, keep=None):
+    """Depth-first walk over the antichains of the elements `ids`, in
+    lexicographic order of their sorted id tuples.
+
+    Yields (antichain, components): the components of the intersection of
+    the antichain's layers with the `start` components (default: the whole
+    torus) that pass `keep`.  Each step intersects each component with one
+    more layer.  An antichain left with no component is yielded but not
+    extended, since its supersets stay empty.  Comparable elements never go
+    together: they do not change an intersection.
+    """
+    ids = sorted(set(ids))
+    incl = poset.inclusion
+
+    def walk(sub, comps, lo):
+        for k in range(lo, len(ids)):
+            e = ids[k]
+            if any(incl[e][j] or incl[j][e] for j in sub):
+                continue
+            lay = poset.elements[e]
+            if comps is None:
+                new = [lay]
+            else:
+                new = [c for old in comps for c in intersect_layers([old, lay])]
+            if keep is not None:
+                new = [c for c in new if keep(c)]
+            yield sub + (e,), new
+            if new:
+                yield from walk(sub + (e,), new, k + 1)
+
+    return walk((), start, 0)
 
 
 def validate_well_connected(candidate_ids, poset):
     """Intersections of members must be empty, connected, or split into
-    components that are themselves members.  Only antichains matter:
-    comparable elements never change an intersection."""
-    ids = sorted(set(candidate_ids))
-    member_layers = [poset.elements[i] for i in ids]
-    bad = []
-    for k in range(2, len(ids) + 1):
-        for sub in itertools.combinations(ids, k):
-            if not is_antichain(sub, poset):
-                continue
-            comps = intersect_layers([poset.elements[i] for i in sub])
-            if len(comps) <= 1:
-                continue
-            for c in comps:
-                if c not in member_layers:
-                    bad.append(("stray_component", sub))
-                    break
+    components that are themselves members.  Only antichains matter, and
+    supersets of an empty intersection are empty.  Failures come by size,
+    then lexicographically."""
+    ids = set(candidate_ids)
+    member_layers = {poset.elements[i] for i in ids}
+    bad = [
+        ("stray_component", sub)
+        for sub, comps in antichains(ids, poset)
+        if len(comps) > 1 and any(c not in member_layers for c in comps)
+    ]
+    bad.sort(key=lambda fl: (len(fl[1]), fl[1]))
     return Report(not bad, tuple(bad))
 
 
@@ -172,26 +194,19 @@ def induced_poset(poset, z_id):
 
 def is_nested(t_ids, building):
     """Every antichain of size > 1 must be the set of factors of a component
-    of its intersection, with additive codimension."""
-    poset = building.poset
-    t_ids = sorted(set(t_ids))
+    of its intersection, with additive codimension.  The first antichain
+    that is empty or badly factored decides."""
+    poset, t_ids = building.poset, set(t_ids)
     if any(i not in building.members for i in t_ids):
         raise ValueError("nested candidates must be building members")
-    for k in range(2, len(t_ids) + 1):
-        for sub in itertools.combinations(t_ids, k):
-            if not is_antichain(sub, poset):
-                continue
-            comps = intersect_layers([poset.elements[i] for i in sub])
-            target_codim = sum(poset.elements[i].codim for i in sub)
-            ok = False
-            for lam in comps:
-                if lam.codim != target_codim:
-                    continue
-                if minimal_containing(building.members, poset, lam) == list(sub):
-                    ok = True
-                    break
-            if not ok:
-                return False
+    for sub, comps in antichains(t_ids, poset):
+        target = sum(poset.elements[i].codim for i in sub)
+        if len(sub) > 1 and not any(
+            lam.codim == target
+            and minimal_containing(building.members, poset, lam) == list(sub)
+            for lam in comps
+        ):
+            return False
     return True
 
 
@@ -204,6 +219,34 @@ def combined_lattice(t_ids, building):
         raise ValueError("empty member set has no combined lattice")
     rows = [list(r) for i in t_ids for r in poset.elements[i].gamma.basis]
     return saturate(span_rows(rows, n))
+
+
+def nested_plus_sets(building, f):
+    """Every (positions, rays) pair that is_nested_plus accepts, ordered by
+    positions and then by rays, each by size and then lexicographically.
+
+    Nested sets are closed under subsets, so the walk extends nested sets
+    only.  Each one pairs with every face of the fan whose rays its combined
+    lattice annihilates.
+    """
+    members, nested = building.members, []
+
+    def walk(t, lo):
+        nested.append(t)
+        for p in range(lo, len(members)):
+            if is_nested([members[q] for q in t + (p,)], building):
+                walk(t + (p,), p + 1)
+
+    walk((), 0)
+    by_size = lambda s: (len(s), s)
+    faces = sorted({s for c in f.max_cones for k in range(len(c) + 1)
+                    for s in itertools.combinations(sorted(c), k)}, key=by_size)
+    out = []
+    for t in sorted(nested, key=by_size):
+        ids = [members[p] for p in t]
+        perp = rays_in_kernel(f, combined_lattice(ids, building)) if t else None
+        out += [(t, r) for r in faces if perp is None or perp.issuperset(r)]
+    return out
 
 
 def is_nested_plus(t_ids, ray_indices, building, f):
@@ -220,8 +263,5 @@ def is_nested_plus(t_ids, ray_indices, building, f):
     if rays and not any(set(rays) <= set(c) for c in f.max_cones):
         return False
     if t_ids and rays:
-        lam = combined_lattice(t_ids, building)
-        for r in rays:
-            if any(pairing(chi, f.rays[r]) != 0 for chi in lam.basis):
-                return False
+        return rays_in_kernel(f, combined_lattice(t_ids, building)).issuperset(rays)
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NoBasis, NotContained
+from .errors import InvariantViolated, NoBasis, NotContained
 from .fans import equal_sign_check, find_equal_sign_basis, pairing
 from .cohomology import GradedRing, RingElement, padd, pconst, pmul
 from .lattice import adapted_basis
@@ -146,5 +146,6 @@ def lift_chern_pair(G, M, ring, f, bound=2):
         for j, b in enumerate(p_rel.coeff_polys()):
             prod[i + j] = padd(prod[i + j], pmul(a, b))
     for got, want in zip(prod, p_g.coefficients):
-        assert ring.normal_form(got).terms == want.terms
+        if ring.normal_form(got).terms != want.terms:
+            raise InvariantViolated("P_G is not P_M * P_G_rel")
     return p_g, p_m, p_rel

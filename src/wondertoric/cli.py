@@ -8,13 +8,11 @@ WONDER_SEED environment variable is recorded in search artifacts.
 """
 
 import argparse
-import functools
-import itertools
 import json
 import sys
 from fractions import Fraction
 
-from .building import is_nested, is_nested_plus
+from .building import is_nested, is_nested_plus, nested_plus_sets
 from .errors import BudgetExhausted, SchemaError, WonderError
 from .fans import (
     fan_to_dict,
@@ -24,22 +22,16 @@ from .fans import (
     validate_good,
     validate_smooth,
 )
-from .jobs import (
-    job_building,
-    job_poset,
-    load_job,
-    parallel_map,
-    parse_nested,
-    read_seed,
-)
+from .jobs import job_building, job_poset, load_job, parse_nested, read_seed
 from .layers import format_qz, layer_to_dict
-from .oracle import model_betti, verify
+from .oracle import betti_of, verify
 from .present import (
-    assemble_model_ideal,
-    assemble_stratum_ideal,
     hilbert_function,
+    model_ideal,
     nested_set,
     presentation_to_dict,
+    stratum_ideal,
+    validated_model,
 )
 
 COMMANDS = (
@@ -218,38 +210,18 @@ def cmd_poset(job, args):
     return doc, True
 
 
-def _subsets(n):
-    return itertools.chain.from_iterable(
-        itertools.combinations(range(n), k) for k in range(n + 1)
-    )
-
-
 def _nested_verdict(f, building, pair):
+    """(is_nested, is_nested_plus) of one pair; bench/tracing.py calls it."""
     t_pos, rays = pair
     ids = [building.members[p] for p in t_pos]
     return is_nested(ids, building), is_nested_plus(ids, rays, building, f)
 
 
 def cmd_nested(job, args):
-    poset = job_poset(job)
-    building = job_building(job, poset)
-    m = building.size
-    nr = len(job.fan.rays)
-    if m + nr > 20:
-        raise SchemaError(
-            "refusing to enumerate 2^%d nested candidates" % (m + nr)
-        )
-    pairs = [(t, r) for t in _subsets(m) for r in _subsets(nr)]
-    worker = functools.partial(_nested_verdict, job.fan, building)
-    verdicts = parallel_map(worker, pairs, args.jobs)
-    nested_list = [
-        list(t) for (t, r), v in zip(pairs, verdicts) if not r and v[0]
-    ]
-    plus_list = [
-        {"members": list(t), "rays": list(r)}
-        for (t, r), v in zip(pairs, verdicts)
-        if v[1]
-    ]
+    building = job_building(job, job_poset(job))
+    pairs = nested_plus_sets(building, job.fan)
+    nested_list = [list(t) for t, r in pairs if not r]
+    plus_list = [{"members": list(t), "rays": list(r)} for t, r in pairs]
     doc = {
         "members": list(building.members),
         "nested": nested_list,
@@ -259,10 +231,14 @@ def cmd_nested(job, args):
     return doc, True
 
 
+def _model(job):
+    """The job's Model: building_set() checks the members, then the fan."""
+    building = job_building(job, job_poset(job))
+    return validated_model(job.fan, building, building_checked=True)
+
+
 def cmd_present(job, args):
-    poset = job_poset(job)
-    building = job_building(job, poset)
-    pres = assemble_model_ideal(job.fan, building)
+    pres = model_ideal(_model(job))
     return presentation_to_dict(pres, args.max_degree), True
 
 
@@ -279,8 +255,7 @@ def _nested_from(job, args):
 
 
 def cmd_stratum(job, args):
-    poset = job_poset(job)
-    building = job_building(job, poset)
+    building = job_building(job, job_poset(job))
     members, rays = _nested_from(job, args)
     for p in members:
         if not 0 <= p < building.size:
@@ -288,22 +263,20 @@ def cmd_stratum(job, args):
     for r in rays:
         if not 0 <= r < len(job.fan.rays):
             raise SchemaError("nested ray index out of range: %d" % r)
-    pres = assemble_stratum_ideal(job.fan, building, nested_set(members, rays))
+    model = validated_model(job.fan, building, building_checked=True)
+    pres = stratum_ideal(model, nested_set(members, rays))
     return presentation_to_dict(pres, args.max_degree), True
 
 
 def cmd_betti(job, args):
-    poset = job_poset(job)
-    building = job_building(job, poset)
-    return {"betti": list(model_betti(job.fan, building))}, True
+    return {"betti": list(betti_of(_model(job)))}, True
 
 
 def cmd_check(job, args):
-    poset = job_poset(job)
-    building = job_building(job, poset)
-    pres = assemble_model_ideal(job.fan, building)
+    model = _model(job)
+    pres = model_ideal(model)
     ranks, torsion = hilbert_function(pres, args.max_degree)
-    betti = model_betti(job.fan, building)
+    betti = betti_of(model)
     rep = verify(ranks, betti, torsion=torsion)
     doc = {
         "hilbert": list(ranks),
@@ -388,7 +361,7 @@ def _parse(argv):
         p.add_argument("--input", required=True, help="job JSON file")
         p.add_argument("--max-degree", dest="max_degree", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--jobs", type=int, default=None, help="no effect")
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name == "stratum":
@@ -417,8 +390,6 @@ def main(argv=None):
             args.max_degree = job.max_degree
         if args.budget is None:
             args.budget = job.budget
-        if args.jobs is None:
-            args.jobs = job.jobs
         if args.output is None:
             args.output = job.output
         doc, ok = HANDLERS[args.command](job, args)

@@ -457,7 +457,8 @@ def toric_elimination(f):
         p = {}
         for k, r in enumerate(rest):
             val = -aug[pos][len(ref) + k]
-            assert val.denominator == 1  # smooth cone: unimodular system
+            if val.denominator != 1:  # smooth cone: unimodular system
+                raise InvariantViolated("non-integral elimination: %s" % val)
             if val:
                 e = [0] * nvars
                 e[r] = 1

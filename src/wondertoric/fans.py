@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExhausted, MalformedFan, NotCompatible, RayNotInterior
+from .errors import BudgetExhausted, InvariantViolated, MalformedFan, NotCompatible, RayNotInterior
 from .lattice import (
     elementary_divisors,
     hermite_normal_form,
@@ -322,8 +322,8 @@ def validate_good(f, lattices, bases=None):
         compat = cone_face_compat(f, lat)
         if not compat.ok:
             reports.append(Report(False, tuple(("lattice", idx) + fl for fl in compat.failures)))
-        # equal-sign success forces face compatibility
-        assert not (es.ok and not compat.ok)
+        if es.ok and not compat.ok:  # equal-sign success forces compatibility
+            raise InvariantViolated("lattice %d: equal signs, faces incompatible" % idx)
     return merge_reports(*reports)
 
 
@@ -354,7 +354,8 @@ def induced_fan(f, lat):
     new_rays = []
     for i in used:
         y = solve_in_lattice(kernel, f.rays[i])
-        assert y is not None
+        if y is None:
+            raise InvariantViolated("ray %d is not in the kernel lattice" % i)
         new_rays.append(y)
     renumber = {old: new for new, old in enumerate(used)}
     cones = sorted(tuple(sorted(renumber[i] for i in c)) for c in maximal)

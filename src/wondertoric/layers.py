@@ -137,10 +137,6 @@ class LayerPoset:
     def codims(self):
         return tuple(e.codim for e in self.elements)
 
-    def leq(self, i, j):
-        # order by reverse inclusion of subvarieties: smaller variety = larger
-        return self.inclusion[i][j]
-
     def index_of(self, lay):
         return self.elements.index(lay)
 
@@ -157,20 +153,16 @@ def build_layer_poset(arrangement):
     for l in arrangement:
         if not is_split_summand(l.gamma):
             raise NotSplit("layer lattice is not saturated: %r" % (l.gamma.basis,))
-    pool = []
-    for l in arrangement:
-        if l not in pool:
-            pool.append(l)
-    while True:
-        new = []
-        for a in pool:
-            for b in pool:
-                for comp in intersect_layers([a, b]):
-                    if comp not in pool and comp not in new:
-                        new.append(comp)
-        if not new:
-            break
-        pool.extend(new)
+    pool = list(dict.fromkeys(arrangement))
+    seen = set(pool)
+    k = 1
+    while k < len(pool):  # semi-naive: each element meets each earlier one once
+        for j in range(k):
+            for comp in intersect_layers([pool[j], pool[k]]):
+                if comp not in seen:
+                    seen.add(comp)
+                    pool.append(comp)
+        k += 1
     elements = tuple(sorted(pool, key=lambda l: l.sort_key()))
     incl = tuple(
         tuple(layer_inclusion(a, b) for b in elements) for a in elements

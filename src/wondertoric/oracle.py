@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .building import BuildingSet, induced_building_on
+from .building import BuildingSet, induced_building_on, order_refining_inclusion
 from .cohomology import h_vector_oracle
-from .errors import CycleDetected
+from .errors import InvariantViolated
 from .fans import Report, induced_fan
 from .layers import torus
-from .present import check_model_preconditions
+from .present import check_model_preconditions, validated_model
 
 
 def keel_step(b_y, b_z, d):
@@ -36,7 +36,8 @@ def keel_step(b_y, b_z, d):
             while len(out) <= idx:
                 out.append(0)
             out[idx] += v
-    assert sum(out) == sum(b_y) + (d - 1) * sum(b_z)  # Euler bookkeeping
+    if sum(out) != sum(b_y) + (d - 1) * sum(b_z):  # Euler bookkeeping
+        raise InvariantViolated("blowup changed the Euler number: %r" % (out,))
     return tuple(out)
 
 
@@ -52,27 +53,10 @@ class BlowupPlan:
     steps: tuple
 
 
-def _refining_order(ids, poset):
-    """Inclusion-refining order preferring the given (source) order."""
-    remaining = list(ids)
-    out = []
-    while remaining:
-        pick = None
-        for i in remaining:
-            if not any(j != i and poset.inclusion[j][i] for j in remaining):
-                pick = i
-                break
-        if pick is None:
-            raise CycleDetected("inclusion relation has a cycle")
-        out.append(pick)
-        remaining.remove(pick)
-    return tuple(out)
-
-
 def _induced_members(poset, prefix_ids, z_id):
     helper = BuildingSet(poset, tuple(prefix_ids) + (z_id,))
     pairs = induced_building_on(z_id, helper)
-    return _refining_order([i for i, _ in pairs], poset)
+    return order_refining_inclusion([i for i, _ in pairs], poset)
 
 
 def _plan(poset, member_ids):
@@ -102,7 +86,8 @@ def _stage_betti(f, poset, stage, member_ids, memo):
     for pos, mid in enumerate(member_ids):
         center = poset.elements[mid]
         d = center.codim - lat.rank
-        assert d >= 1
+        if d < 1:
+            raise InvariantViolated("center %d does not cut its stage" % mid)
         if d == 1:
             continue  # divisorial center: blowup is an isomorphism
         induced = _induced_members(poset, member_ids[:pos], mid)
@@ -112,13 +97,16 @@ def _stage_betti(f, poset, stage, member_ids, memo):
     return memo[key]
 
 
+def betti_of(model):
+    """Betti vector of a validated Model, one entry per even cohomological
+    degree."""
+    f, b = model.fan, model.building
+    return _stage_betti(f, b.poset, torus(f.rank), tuple(b.members), {})
+
+
 def model_betti(f, building):
-    """Betti vector of the model, one entry per even cohomological degree."""
-    check_model_preconditions(f, building)
-    memo = {}
-    return _stage_betti(
-        f, building.poset, torus(f.rank), tuple(building.members), memo
-    )
+    """betti_of a fan and building set, validated first."""
+    return betti_of(validated_model(f, building))
 
 
 def _strip(vec):

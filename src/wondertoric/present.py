@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .building import (
     BuildingSet,
+    antichains,
     combined_lattice,
     is_nested_plus,
     validate_building,
@@ -42,7 +43,7 @@ from .errors import (
     NotGood,
     NotNested,
 )
-from .fans import fan_to_dict, merge_reports, pairing, rays_in_kernel, validate_good
+from .fans import fan_to_dict, merge_reports, rays_in_kernel, validate_good
 from .layers import (
     closure_nonempty_with_orbit,
     intersect_layers,
@@ -79,24 +80,46 @@ class StratumPresentation(ModelPresentation):
     nested: NestedSet = nested_set()
 
 
-def check_model_preconditions(f, building):
-    poset = building.poset
+def check_good_fan(f, poset):
     rep = validate_good(f, [e.gamma for e in poset.elements])
     if not rep.ok:
         raise NotGood("fan is not good for the arrangement: %r" % (rep.failures,))
+
+
+def check_model_preconditions(f, building):
+    poset = building.poset
+    check_good_fan(f, poset)
     rep = merge_reports(
         validate_building(building.members, poset),
         validate_well_connected(building.members, poset),
     )
     if not rep.ok:
         raise NotBuilding("not a well-connected building set: %r" % (rep.failures,))
-    layers = [building.member_layer(p) for p in range(building.size)]
-    for a in range(len(layers)):
-        for b in range(a + 1, len(layers)):
-            if layers[b] != layers[a] and layer_inclusion(layers[b], layers[a]):
-                raise BadOrder(
-                    "member %d is contained in earlier member %d" % (b, a)
-                )
+    ids = building.members
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            if ids[b] != ids[a] and poset.inclusion[ids[b]][ids[a]]:
+                raise BadOrder("member %d is contained in earlier member %d" % (b, a))
+
+
+@dataclass(frozen=True)
+class Model:
+    """A fan and an ordered building set that passed the model preconditions
+    in validated_model.  Functions that take a Model check nothing again."""
+
+    fan: object
+    building: BuildingSet
+
+
+def validated_model(f, building, *, building_checked=False):
+    """Check the model preconditions once and return the Model.
+    building_checked=True is for a set that building_set() has just ordered
+    and validated: only the fan's goodness is left to check."""
+    if building_checked:
+        check_good_fan(f, building.poset)
+    else:
+        check_model_preconditions(f, building)
+    return Model(f, building)
 
 
 def _dead_rays(f, building, nested):
@@ -104,35 +127,27 @@ def _dead_rays(f, building, nested):
     set must keep it nested, i.e. the enlarged ray set spans a cone whose
     rays are annihilated by the combined member lattice."""
     t_ids = [building.members[p] for p in nested.members]
-    lam = combined_lattice(t_ids, building) if t_ids else None
-    base_rays = set(nested.rays)
-    out = []
-    for r in range(len(f.rays)):
-        want = base_rays | {r}
-        spans = any(want <= set(c) for c in f.max_cones)
-        perp = lam is None or all(
-            pairing(chi, f.rays[r]) == 0 for chi in lam.basis
-        )
-        if not (spans and perp):
-            out.append(r)
-    return out
+    rays = range(len(f.rays))
+    perp = rays_in_kernel(f, combined_lattice(t_ids, building)) if t_ids else rays
+    spans = lambda r: any(set(nested.rays) | {r} <= set(c) for c in f.max_cones)
+    return [r for r in rays if r not in perp or not spans(r)]
 
 
-def _mixed_empty(positions, nested, member_layers, f):
-    """Whether the member intersection over `positions`, cut further by the
-    nested set's members and ray orbits, is empty inside the base variety."""
-    lays = [member_layers[p] for p in positions]
-    lays += [member_layers[p] for p in nested.members]
-    if not lays:
-        return False
-    comps = intersect_layers(lays)
-    if not comps:
-        return True
-    if not nested.rays:
-        return False
-    return not any(
-        closure_nonempty_with_orbit(k, tuple(nested.rays), f) for k in comps
+def _minimal_empty(building, nested, f):
+    """Minimal position sets whose member intersection, cut by the nested
+    set's members and by the orbit closures of its rays, is empty; by size,
+    then lexicographically.  A minimal set is an antichain, and its proper
+    subsets are not empty, so one walk over antichains finds them all."""
+    keep = lambda k: closure_nonempty_with_orbit(k, nested.rays, f)
+    lays = [torus(f.rank)] + [building.member_layer(p) for p in nested.members]
+    start = intersect_layers(lays)
+    pos = {i: p for p, i in enumerate(building.members)}
+    empty = sorted(
+        (len(sub), tuple(sorted(pos[i] for i in sub)))
+        for sub, comps in antichains(building.members, building.poset, start, keep)
+        if not comps
     )
+    return [a for _, a in empty if not any(set(b) < set(a) for _, b in empty)]
 
 
 def _assemble(f, building, nested, lift_rel):
@@ -142,12 +157,10 @@ def _assemble(f, building, nested, lift_rel):
     nvars = nc + m
     n = f.rank
     member_layers = [building.member_layer(p) for p in range(m)]
+    ids, incl = building.members, building.poset.inclusion
 
     def ext(p):
         return {e + (0,) * m: c for e, c in p.items()}
-
-    def tvar(pos):
-        return pvar(nc + pos, nvars)
 
     groups = []
     lifts = {}  # (G, M) -> lift_rel(G, M, base, f): each distinct pair once
@@ -178,25 +191,14 @@ def _assemble(f, building, nested, lift_rel):
             groups.append(("tc", {"member": i, "ray": r}, canon_terms({tuple(e): 1})))
 
     for i in range(m):
-        g_layer = member_layers[i]
-        supersets = [
-            j
-            for j in range(m)
-            if j != i
-            and member_layers[j] != g_layer
-            and layer_inclusion(g_layer, member_layers[j])
-        ]
-        s_i = [
-            p
-            for p in nested.members
-            if member_layers[p] != g_layer and layer_inclusion(g_layer, member_layers[p])
-        ]
-        b_i = [
-            h for h in range(m) if layer_inclusion(member_layers[h], g_layer)
-        ]
+        g_layer, g = member_layers[i], ids[i]
+        # members strictly containing G, all of them and the nested ones
+        supersets = [j for j in range(m) if ids[j] != g and incl[g][ids[j]]]
+        s_i = [p for p in nested.members if ids[p] != g and incl[g][ids[p]]]
         shift = {}
-        for h in b_i:
-            shift = padd(shift, pvar(nc + h, nvars, -1))
+        for h in range(m):
+            if incl[ids[h]][g]:
+                shift = padd(shift, pvar(nc + h, nvars, -1))
         for size in range(len(supersets) + 1):
             for a in itertools.combinations(supersets, size):
                 combo = sorted(set(a) | set(s_i))
@@ -242,18 +244,11 @@ def _assemble(f, building, nested, lift_rel):
                     )
                 )
 
-    found = []
-    for size in range(1, m + 1):
-        for a in itertools.combinations(range(m), size):
-            if any(set(prev) <= set(a) for prev in found):
-                continue
-            if not _mixed_empty(a, nested, member_layers, f):
-                continue
-            found.append(a)
-            e = [0] * nvars
-            for j in a:
-                e[nc + j] += 1
-            groups.append(("F0", {"others": list(a)}, canon_terms({tuple(e): 1})))
+    for a in _minimal_empty(building, nested, f):
+        e = [0] * nvars
+        for j in a:
+            e[nc + j] += 1
+        groups.append(("F0", {"others": list(a)}, canon_terms({tuple(e): 1})))
 
     names = base.names + tuple("t:%d" % p for p in range(m))
     subst = {v: ext(p) for v, p in base.substitutions.items()}
@@ -267,18 +262,17 @@ def _assemble(f, building, nested, lift_rel):
     return base, ring, tuple(groups)
 
 
-def assemble_model_ideal(f, building, *, lift_rel=None):
+def model_ideal(model, *, lift_rel=None):
     """Presentation of the cohomology of the compactified model."""
-    check_model_preconditions(f, building)
     lift = lift_rel or lift_chern_relative
-    base, ring, groups = _assemble(f, building, nested_set(), lift)
-    return ModelPresentation(f, building, base, ring, groups)
+    base, ring, groups = _assemble(model.fan, model.building, nested_set(), lift)
+    return ModelPresentation(model.fan, model.building, base, ring, groups)
 
 
-def assemble_stratum_ideal(f, building, nested, *, lift_rel=None):
+def stratum_ideal(model, nested, *, lift_rel=None):
     """Presentation of the cohomology of the boundary stratum cut out by the
     divisors of a nested set (member positions plus fan rays)."""
-    check_model_preconditions(f, building)
+    f, building = model.fan, model.building
     for p in nested.members:
         if not 0 <= p < building.size:
             raise ValueError("nested member position out of range: %r" % (p,))
@@ -291,6 +285,16 @@ def assemble_stratum_ideal(f, building, nested, *, lift_rel=None):
     lift = lift_rel or lift_chern_relative
     base, ring, groups = _assemble(f, building, nested, lift)
     return StratumPresentation(f, building, base, ring, groups, nested)
+
+
+def assemble_model_ideal(f, building, *, lift_rel=None):
+    """model_ideal of a fan and building set, validated first."""
+    return model_ideal(validated_model(f, building), lift_rel=lift_rel)
+
+
+def assemble_stratum_ideal(f, building, nested, *, lift_rel=None):
+    """stratum_ideal of a fan and building set, validated first."""
+    return stratum_ideal(validated_model(f, building), nested, lift_rel=lift_rel)
 
 
 def stratum_size(pres):

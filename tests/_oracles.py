@@ -2,13 +2,14 @@
 
 These deliberately take a different route from the library code they verify:
 nestedness in the augmented building set is re-derived from the full
-stratified poset of (layer, cone) pairs, and ring slices are rebuilt over
-every monomial of their degree with every relation as a row.
+stratified poset of (layer, cone) pairs, ring slices are rebuilt over every
+monomial of their degree with every relation as a row, and the member-subset
+searches and the poset closure go through every subset and every pair.
 """
 
 import itertools
 
-from wondertoric.building import is_antichain, minimal_containing
+from wondertoric.building import minimal_containing
 from wondertoric.cohomology import (
     RowEchelon,
     canon_terms,
@@ -19,7 +20,18 @@ from wondertoric.cohomology import (
 )
 from wondertoric.fans import Report, pairing
 from wondertoric.lattice import hermite_normal_form, kernel_basis
-from wondertoric.layers import intersect_layers
+from wondertoric.layers import (
+    LayerPoset,
+    closure_nonempty_with_orbit,
+    intersect_layers,
+    layer_inclusion,
+)
+
+
+def is_antichain(ids, poset):
+    return not any(
+        a != b and poset.inclusion[a][b] for a, b in itertools.permutations(ids, 2)
+    )
 
 
 def cone_of(rays, f):
@@ -78,6 +90,102 @@ def witness_exists(layer_part, ray_part, building, f):
         ):
             return True
     return False
+
+
+# -- member subsets and the poset, one subset or pair at a time -------------
+
+
+def well_connected_reference(candidate_ids, poset):
+    """validate_well_connected over every subset of the members."""
+    ids = sorted(set(candidate_ids))
+    member_layers = [poset.elements[i] for i in ids]
+    bad = []
+    for k in range(2, len(ids) + 1):
+        for sub in itertools.combinations(ids, k):
+            if not is_antichain(sub, poset):
+                continue
+            comps = intersect_layers([poset.elements[i] for i in sub])
+            if len(comps) <= 1:
+                continue
+            for c in comps:
+                if c not in member_layers:
+                    bad.append(("stray_component", sub))
+                    break
+    return Report(not bad, tuple(bad))
+
+
+def nested_reference(t_ids, building):
+    """is_nested over every subset of the candidates."""
+    poset = building.poset
+    t_ids = sorted(set(t_ids))
+    for k in range(2, len(t_ids) + 1):
+        for sub in itertools.combinations(t_ids, k):
+            if not is_antichain(sub, poset):
+                continue
+            comps = intersect_layers([poset.elements[i] for i in sub])
+            target = sum(poset.elements[i].codim for i in sub)
+            if not any(
+                lam.codim == target
+                and minimal_containing(building.members, poset, lam) == list(sub)
+                for lam in comps
+            ):
+                return False
+    return True
+
+
+def _mixed_empty(positions, nested, member_layers, f):
+    lays = [member_layers[p] for p in positions]
+    lays += [member_layers[p] for p in nested.members]
+    if not lays:
+        return False
+    comps = intersect_layers(lays)
+    if not comps:
+        return True
+    if not nested.rays:
+        return False
+    return not any(
+        closure_nonempty_with_orbit(k, tuple(nested.rays), f) for k in comps
+    )
+
+
+def f0_reference(f, building, nested):
+    """Minimal position sets whose member intersection, cut by the nested
+    set's members and ray orbits, is empty: every subset, by size and then
+    lexicographically."""
+    m = building.size
+    member_layers = [building.member_layer(p) for p in range(m)]
+    found = []
+    for size in range(1, m + 1):
+        for a in itertools.combinations(range(m), size):
+            if any(set(prev) <= set(a) for prev in found):
+                continue
+            if _mixed_empty(a, nested, member_layers, f):
+                found.append(a)
+    return found
+
+
+def poset_closure_reference(arrangement):
+    """build_layer_poset by passes over every ordered pair of the pool, self
+    pairs included, until a pass adds nothing."""
+    pool = []
+    for l in arrangement:
+        if l not in pool:
+            pool.append(l)
+    while True:
+        new = []
+        for a in pool:
+            for b in pool:
+                for comp in intersect_layers([a, b]):
+                    if comp not in pool and comp not in new:
+                        new.append(comp)
+        if not new:
+            break
+        pool.extend(new)
+    elements = tuple(sorted(pool, key=lambda l: l.sort_key()))
+    incl = tuple(
+        tuple(layer_inclusion(a, b) for b in elements) for a in elements
+    )
+    return LayerPoset(elements, incl)
 
 
 # -- ring slices over all monomials ----------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from wondertoric import building, cli, fans, jobs, oracle, present
 from wondertoric.cli import main, render_text
 from wondertoric.fans import fan_from_dict, fan_to_dict
 
@@ -191,3 +193,47 @@ def test_empty_arrangement_lists_base_ring_alone(tmp_path):
     assert "t variables: none" in text
     assert "group tc:" not in text and "group F:" not in text
     assert "hilbert: (1,1,0)" in text
+
+
+# the model preconditions and the validators they are made of
+VALIDATORS = (
+    "check_model_preconditions",
+    "check_good_fan",
+    "validate_building",
+    "validate_well_connected",
+    "validate_good",
+)
+
+
+@pytest.mark.parametrize(
+    "command,stem,runs_good",
+    [
+        ("check", "p1xp1_coordinate", True),
+        ("check", "skew_good", True),
+        ("betti", "skew_good", True),
+        ("present", "p1xp1_coordinate", True),
+        ("stratum", "p1xp1_stratum", True),
+        ("nested", "p1xp1_coordinate", False),
+    ],
+)
+def test_each_command_validates_the_model_once(
+    command, stem, runs_good, monkeypatch, tmp_path
+):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (building, cli, fans, jobs, oracle, present):
+        for name in VALIDATORS:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    argv = [command, "--input", golden_path(stem + ".job.json")]
+    assert run_to_bytes(argv, tmp_path)[0] == 0
+    assert calls["check_model_preconditions"] == 0
+    assert calls["validate_building"] == calls["validate_well_connected"] == 1
+    assert calls["check_good_fan"] == calls["validate_good"] == int(runs_good)

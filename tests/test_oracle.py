@@ -1,12 +1,18 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import wondertoric
 from wondertoric.building import BuildingSet, building_set
-from wondertoric.errors import NotGood
+from wondertoric.errors import InvariantViolated, NotGood
 from wondertoric.fans import fan, search_good_fan
 from wondertoric.layers import build_layer_poset, layer
-from wondertoric.oracle import blowup_plan, keel_step, model_betti, verify
+from wondertoric.oracle import _stage_betti, blowup_plan, keel_step, model_betti, verify
 from wondertoric.present import assemble_model_ideal, hilbert_function
 
 P1 = fan(1, ((1,), (-1,)), ((0,), (1,)))
@@ -218,3 +224,40 @@ def test_verify_torsion_fails():
     rep = verify((1, 1), (1, 1), torsion=((), (2,)))
     assert not rep.ok
     assert ("torsion", 2, (2,)) in rep.failures
+
+
+def test_stage_guard_raises():
+    # a center that is the stage itself does not cut it: codimension 0
+    poset = build_layer_poset([layer([[1, 0]], [0], 2)])
+    with pytest.raises(InvariantViolated, match="does not cut its stage"):
+        _stage_betti(P1XP1, poset, poset.elements[0], (0,), {})
+
+
+def test_stage_guard_raises_under_python_O():
+    """The guards are raised errors, not asserts, so -O keeps them."""
+    script = textwrap.dedent(
+        """
+        from wondertoric.errors import InvariantViolated
+        from wondertoric.fans import fan
+        from wondertoric.layers import build_layer_poset, layer
+        from wondertoric.oracle import _stage_betti
+
+        assert False, "asserts must be off under -O"
+        f = fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (0, 3), (1, 2), (1, 3)])
+        poset = build_layer_poset([layer([[1, 0]], [0], 2)])
+        try:
+            _stage_betti(f, poset, poset.elements[0], (0,), {})
+        except InvariantViolated:
+            raise SystemExit(0)
+        raise SystemExit(5)
+        """
+    )
+    src = str(pathlib.Path(wondertoric.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
