@@ -4,14 +4,23 @@ Everything here works over plain Python ints (arbitrary precision) and
 fractions.Fraction; no floats, no modular shortcuts.  Matrices are lists or
 tuples of equal-length integer rows.  All functions are pure and all returned
 matrices are tuples of tuples, safe to hash and share.
+
+The kernels whose inputs repeat within one request (solve_in_lattice,
+saturate, torsion_frame) are memoised by value; what they return is
+immutable because every caller shares it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotContained, NotSaturated
+
+# Entries per memoised kernel.  The keys are small int tuples; a 25 s run of
+# any benchmark workload leaves at most 160 entries in each.
+CACHE_SIZE = 1024
 
 
 def xgcd(a, b):
@@ -263,6 +272,11 @@ def solve_in_lattice(basis, target):
 
     basis rows need not be in HNF but must be linearly independent.
     """
+    return _solve_in_lattice(freeze(basis), tuple(map(int, target)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _solve_in_lattice(basis, target):
     if not basis:
         return () if is_zero_row(target) else None
     h, u = hermite_normal_form(basis, transform=True)
@@ -316,6 +330,7 @@ def span_rows(rows, ambient_rank):
     return sublattice(rows, ambient_rank, allow_dependent=True)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def saturate(lat):
     """Smallest split direct summand of Z^n containing lat."""
     if lat.rank == 0:
@@ -391,6 +406,36 @@ def qz(value):
     return Fraction(f.numerator % f.denominator, f.denominator)
 
 
+@dataclass(frozen=True)
+class TorsionFrame:
+    """What solve_torsion_congruences needs from the generators alone.
+
+    sat is the saturation of span(gens).  u, divisors and v come from the
+    Smith form U * coords * V == D of the generators' coordinates on the
+    HNF basis of sat: divisors are the s = sat.rank diagonal entries of D.
+    """
+
+    sat: Sublattice
+    u: tuple
+    divisors: tuple
+    v: tuple
+
+
+def torsion_frame(gens, ambient_rank):
+    """The TorsionFrame of the integer vectors gens (possibly dependent)."""
+    return _torsion_frame(freeze(gens), int(ambient_rank))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _torsion_frame(gens, ambient_rank):
+    sat = saturate(span_rows(gens, ambient_rank))
+    if sat.rank == 0:
+        return TorsionFrame(sat, (), (), ())
+    coords = [solve_in_lattice(sat.basis, g) for g in gens]
+    u, d, v, _ = smith_normal_form(coords)
+    return TorsionFrame(sat, u, tuple(d[i][i] for i in range(sat.rank)), v)
+
+
 def solve_torsion_congruences(gens, values, ambient_rank):
     """All torsion characters on the saturation of span(gens) hitting values.
 
@@ -400,22 +445,18 @@ def solve_torsion_congruences(gens, values, ambient_rank):
     the constraints are inconsistent.  The number of solutions always equals
     the index of span(gens) inside its saturation.
     """
-    gens = [list(map(int, g)) for g in gens]
     values = [qz(v) for v in values]
     if len(gens) != len(values):
         raise ValueError("one value per generator required")
-    span = span_rows(gens, ambient_rank)
-    if span.rank == 0:
+    frame = torsion_frame(gens, ambient_rank)
+    if frame.sat.rank == 0:
         return [()] if all(v == 0 for v in values) else []
-    sat = saturate(span)
-    coords = [solve_in_lattice(sat.basis, g) for g in gens]
-    u, d, v, _ = smith_normal_form(coords)
-    m, s = len(gens), sat.rank
+    u, divisors, v = frame.u, frame.divisors, frame.v
+    m, s = len(values), len(divisors)
     w = [qz(sum(Fraction(u[i][j]) * values[j] for j in range(m))) for i in range(m)]
     for i in range(s, m):
         if w[i] != 0:
             return []
-    divisors = [d[i][i] for i in range(s)]
     sols = []
 
     def rec(i, ys):

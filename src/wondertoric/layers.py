@@ -16,10 +16,11 @@ from .lattice import (
     Sublattice,
     is_split_summand,
     qz,
-    saturate,
     solve_in_lattice,
+    solve_torsion_congruences,
     span_rows,
     sublattice,
+    torsion_frame,
 )
 
 
@@ -107,8 +108,6 @@ def intersect_layers(layers):
     components correspond to the consistent torsion extensions of the glued
     character values.  Empty list means empty intersection.
     """
-    from .lattice import solve_torsion_congruences
-
     if not layers:
         raise ValueError("need at least one layer")
     n = layers[0].ambient_rank
@@ -122,10 +121,8 @@ def intersect_layers(layers):
             values.append(v)
     if not gens:
         return [torus(n)]
-    span = span_rows(gens, n)
-    sat = saturate(span)
-    sols = solve_torsion_congruences(gens, values, n)
-    return [Layer(sat, phi) for phi in sols]
+    sat = torsion_frame(gens, n).sat
+    return [Layer(sat, phi) for phi in solve_torsion_congruences(gens, values, n)]
 
 
 @dataclass(frozen=True)

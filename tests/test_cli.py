@@ -1,11 +1,14 @@
 import collections
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import wondertoric
 from wondertoric import building, cli, fans, jobs, oracle, present
 from wondertoric.cli import main, render_text
 from wondertoric.fans import fan_from_dict, fan_to_dict
@@ -237,3 +240,70 @@ def test_each_command_validates_the_model_once(
     assert calls["check_model_preconditions"] == 0
     assert calls["validate_building"] == calls["validate_well_connected"] == 1
     assert calls["check_good_fan"] == calls["validate_good"] == int(runs_good)
+
+
+def package_caches():
+    """Every memoised function of the package, once each."""
+    found = {}
+    for info in pkgutil.iter_modules(wondertoric.__path__):
+        mod = importlib.import_module("wondertoric." + info.name)
+        for fn in vars(mod).values():
+            if callable(fn) and hasattr(fn, "cache_info"):
+                found[id(fn)] = fn
+    return list(found.values())
+
+
+def signed_permuted_job(stem, tmp_path):
+    """The golden job with coordinates moved by (x, y) -> (-y, x)."""
+    move = lambda v: [-v[1], v[0]]
+    doc = json.load(open(golden_path(stem + ".job.json")))
+    doc["fan"]["rays"] = [move(r) for r in doc["fan"]["rays"]]
+    for lay in doc["layers"]:
+        lay["gamma"] = [move(g) for g in lay["gamma"]]
+    path = tmp_path / (stem + ".moved.json")
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+COLD_WARM = [
+    ("check", "p1xp1_coordinate", []),
+    ("betti", "skew_good", []),
+    ("stratum", "p1xp1_stratum", []),
+    ("goodfan", "p2_diagonal", ["--search"]),
+    ("goodfan", "skew_plain", ["--search"]),
+]
+
+
+def test_cold_and_warm_caches_give_identical_runs(tmp_path, capsys):
+    caches = package_caches()
+    assert {fn.__name__ for fn in caches} >= {
+        "_solve_in_lattice", "saturate", "_torsion_frame",
+        "_find_equal_sign_basis", "cone_face_compat",
+    }
+
+    def run(argv):
+        out = tmp_path / "out"
+        if out.exists():
+            out.unlink()
+        code = main(argv + ["--output", str(out)])
+        std = capsys.readouterr()
+        return code, std.out, std.err, out.read_bytes() if out.exists() else None
+
+    def argv_of(command, stem, extra):
+        return [command, "--input", golden_path(stem + ".job.json")] + extra
+
+    cold = []
+    for spec in COLD_WARM:
+        for fn in caches:
+            fn.cache_clear()
+        cold.append(run(argv_of(*spec)))
+    # other requests in between, two of them on signed-permuted coordinates
+    for stem in ("p1_one_point", "p1_three_points", "skew_good"):
+        run(["check", "--input", golden_path(stem + ".job.json")])
+    run(["betti", "--input", signed_permuted_job("skew_good", tmp_path)])
+    run(["goodfan", "--search", "--input", signed_permuted_job("skew_plain", tmp_path)])
+    for _ in range(2):
+        assert [run(argv_of(*spec)) for spec in COLD_WARM] == cold
+    for fn in caches:
+        info = fn.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, fn.__name__

@@ -1,8 +1,12 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wondertoric import fans
 from wondertoric.errors import BudgetExhausted, MalformedFan, NotCompatible, RayNotInterior
 from wondertoric.fans import (
     canonicalize,
@@ -20,7 +24,7 @@ from wondertoric.fans import (
     validate_good,
     validate_smooth,
 )
-from wondertoric.lattice import sublattice
+from wondertoric.lattice import span_rows, sublattice
 
 P1 = fan(1, [(1,), (-1,)], [(0,), (1,)])
 P1xP1 = fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -42,8 +46,12 @@ def test_factory_rejects_structural_defects():
         fan(2, [(1, 0), (-1, 0)], [(0, 1)])  # not simplicial
     with pytest.raises(MalformedFan):
         fan(2, [(1, 0), (0, 1)], [(0,)])  # unused ray
-    with pytest.raises(MalformedFan):
+    with pytest.raises(MalformedFan, match=re.escape("max cone (0,) contained in (0, 1)")):
         fan(2, [(1, 0), (0, 1)], [(0, 1), (0,)])  # nested max cones
+    # the first contained cone in max-cone order is the one reported
+    e3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(MalformedFan, match=re.escape("max cone (1,) contained in (0, 1, 2)")):
+        fan(3, e3, [(0, 1, 2), (1,), (0, 2)])
 
 
 def test_smoothness_reports():
@@ -242,3 +250,48 @@ def test_canonicalize_sorts_rays():
     assert list(c.rays) == sorted(c.rays)
     assert validate_complete(c).ok
     assert canonicalize(c) == c
+
+
+# --- the memoised (fan, lattice) kernels against their undecorated bodies ---
+
+CUBE = fan(
+    3,
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+)
+# P2 after one repair step, and the cube after two stellar subdivisions
+P2_REPAIRED = stellar_subdivide(P2, (0, 1), (1, 1))
+CUBE_SUBDIVIDED = stellar_subdivide(stellar_subdivide(CUBE, (0, 2), (1, 1, 0)), (0, 4), (1, 0, 1))
+FANS = [P1, P1xP1, P2, P2_REPAIRED, CUBE, CUBE_SUBDIVIDED]
+
+
+@st.composite
+def fan_lattices(draw):
+    """A fan and a sublattice of its character lattice: independent rows with
+    entries in [-3, 3], given as lists or as tuples."""
+    f = draw(st.sampled_from(FANS))
+    row = st.lists(st.integers(-3, 3), min_size=f.rank, max_size=f.rank)
+    rows = draw(st.lists(row, min_size=0, max_size=f.rank))
+    span = span_rows(rows, f.rank)
+    if span.rank != len(rows):
+        rows = [list(r) for r in span.basis]
+    if draw(st.booleans()):
+        rows = tuple(tuple(r) for r in rows)
+    return f, sublattice(rows, f.rank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=fan_lattices(), bound=st.integers(1, 2))
+def test_cached_fan_kernels_equal_their_bodies(pair, bound):
+    f, L = pair
+    want_basis = fans._find_equal_sign_basis.__wrapped__(f, L, bound)
+    want_compat = cone_face_compat.__wrapped__(f, L)
+    for _ in range(2):  # cold, then warm
+        assert find_equal_sign_basis(f, L, bound) == want_basis
+        assert cone_face_compat(f, L) == want_compat
+    assert find_equal_sign_basis(f, L) == fans._find_equal_sign_basis.__wrapped__(f, L, 2)
+    # a fan rebuilt from lists is the same key
+    same = fan(f.rank, [list(r) for r in f.rays], [list(c) for c in f.max_cones])
+    assert find_equal_sign_basis(same, L, bound) == want_basis
+    assert cone_face_compat(same, L) == want_compat
+    hash((want_basis, want_compat))  # shared values are immutable

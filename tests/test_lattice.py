@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from wondertoric import lattice
 from wondertoric.errors import NotContained, NotSaturated
 from wondertoric.lattice import (
     AdaptedBasis,
@@ -23,6 +26,7 @@ from wondertoric.lattice import (
     solve_torsion_congruences,
     span_rows,
     sublattice,
+    torsion_frame,
 )
 
 
@@ -348,3 +352,81 @@ def test_torsion_congruences_solution_count_is_index():
         got = solve_torsion_congruences(gens, values, n)
         assert len(got) == saturation_index(span)
         assert tuple(qz(p) for p in phi) in got
+
+
+# --- the memoised kernels against their undecorated bodies -----------------
+
+
+@st.composite
+def small_matrices(draw, max_rows=4):
+    """Integer matrices with at most 4 columns and entries in [-3, 3]."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=0, max_size=max_rows)), n
+
+
+def as_tuples(mat):
+    return tuple(tuple(row) for row in mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=small_matrices(), data=st.data())
+def test_cached_solve_in_lattice_equals_its_body(mat, data):
+    basis, n = mat
+    assume(len(hermite_normal_form(basis)) == len(basis))
+    if data.draw(st.booleans()):  # a lattice vector
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+        target = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n)]
+    else:
+        target = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    want = lattice._solve_in_lattice.__wrapped__(basis, target)
+    for b, t in ((basis, target), (as_tuples(basis), tuple(target)), (basis, target)):
+        assert solve_in_lattice(b, t) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=small_matrices())
+def test_cached_saturate_and_torsion_frame_equal_their_bodies(mat):
+    gens, n = mat
+    span = span_rows(gens, n)
+    assert saturate(span) == saturate.__wrapped__(span)
+    want = lattice._torsion_frame.__wrapped__(gens, n)
+    assert want.sat == saturate.__wrapped__(span)
+    for g in (gens, as_tuples(gens), gens):
+        assert torsion_frame(g, n) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat=small_matrices(max_rows=3), data=st.data())
+def test_cached_torsion_congruences_match_brute_force(mat, data):
+    gens, n = mat
+    span = span_rows(gens, n)
+    assume(span.rank > 0)
+    sat = saturate(span)
+    index = saturation_index(span)
+    values = [Fraction(data.draw(st.integers(0, 5)), 6) for _ in gens]
+    denom = index * 6
+    assume(denom ** sat.rank <= 5000)
+    got = solve_torsion_congruences(gens, values, n)
+    assert got == brute_force_characters(gens, values, sat, denom)
+    assert len(got) in (0, index)
+    assert solve_torsion_congruences(as_tuples(gens), tuple(values), n) == got
+
+
+def test_mutating_inputs_and_results_leaves_the_caches_intact():
+    gens = [[2, 0], [0, 2]]
+    values = [Fraction(1, 2), Fraction(0)]
+    first = solve_torsion_congruences(gens, values, 2)
+    frame = torsion_frame(gens, 2)
+    coords = solve_in_lattice(gens, [4, 2])
+    assert first == [(Fraction(1, 4), Fraction(0)), (Fraction(1, 4), Fraction(1, 2)),
+                     (Fraction(3, 4), Fraction(0)), (Fraction(3, 4), Fraction(1, 2))]
+    first.clear()  # the caller owns the returned list
+    gens[0][0] = 1  # and its own input rows
+    assert solve_torsion_congruences([[2, 0], [0, 2]], values, 2) != []
+    assert torsion_frame([[2, 0], [0, 2]], 2) == frame
+    assert solve_in_lattice([[2, 0], [0, 2]], [4, 2]) == coords == (2, 1)
+    assert torsion_frame(gens, 2) == lattice._torsion_frame.__wrapped__(gens, 2) != frame
+    # shared values are immutable
+    for value in (frame, coords, saturate(span_rows([[2, 0]], 2))):
+        hash(value)
