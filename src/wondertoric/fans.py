@@ -1,8 +1,8 @@
 """Smooth complete fans: validation, induced fans, stellar subdivision.
 
 A Fan stores primitive integer rays and maximal cones as sorted tuples of ray
-indices.  All geometry is exact: sign checks are integer pairings and the
-relative-interior tests run a rational phase-1 simplex.
+indices.  All geometry is exact and in integers: sign checks are pairings,
+and the relative-interior tests run a fraction-free phase-1 simplex.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetExhausted, InvariantViolated, MalformedFan, NotCompatible, RayNotInterior
 from .lattice import (
@@ -179,61 +178,62 @@ def validate_complete(f):
     return Report(not bad, tuple(bad))
 
 
+def _as_int(x):
+    v = int(x)
+    if v != x:
+        raise ValueError("not an integer: %r" % (x,))
+    return v
+
+
 def feasible_nonneg(A, b):
     """Exact feasibility of {x >= 0 : A x = b} via phase-1 simplex.
 
-    A is a list of Fraction/int rows, b a vector.  Bland's rule, so the loop
+    A is a list of int rows and b an int vector; a non-integer entry raises
+    ValueError.  Integer-preserving pivots keep the tableau scaled by the
+    basis determinant, so each division is exact.  Bland's rule, so the loop
     always terminates.  Returns True/False.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rows = []
-    rhs = []
-    for row, bv in zip(A, b):
-        row = [Fraction(x) for x in row]
-        bv = Fraction(bv)
-        if bv < 0:
-            row = [-x for x in row]
-            bv = -bv
-        rows.append(row)
-        rhs.append(bv)
+    T = []
+    for i, (row, bv) in enumerate(zip(A, b)):
+        sign = -1 if _as_int(bv) < 0 else 1
+        row = [sign * _as_int(x) for x in row]
+        T.append(row + [int(i == j) for j in range(m)] + [abs(int(bv))])
     if m == 0:
         return True
     # tableau columns: n originals + m artificials
-    T = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
     # objective: minimize sum of artificials; reduced costs start from that
-    cost = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= T[i][j]
+    cost = [-sum(col) for col in zip(*T)]
     for j in range(n, n + m):
         cost[j] += 1
+    prev = 1  # determinant of the current basis; every entry is scaled by it
     while True:
         enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
             break
-        best = None
+        best = None  # least ratio T[i][-1] / T[i][enter], by cross-multiplication
         for i in range(m):
             if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+                if best is not None:
+                    lhs, rhs = T[i][-1] * T[best][enter], T[best][-1] * T[i][enter]
+                if best is None or lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
         if best is None:
             # unbounded phase-1 objective cannot happen; defensive
             return False
-        _, pivot_row = best
-        piv = T[pivot_row][enter]
-        T[pivot_row] = [x / piv for x in T[pivot_row]]
+        prow = T[best]
+        piv = prow[enter]
         for i in range(m):
-            if i != pivot_row and T[i][enter]:
-                coef = T[i][enter]
-                T[i] = [x - coef * y for x, y in zip(T[i], T[pivot_row])]
-        if cost[enter]:
-            coef = cost[enter]
-            cost = [x - coef * y for x, y in zip(cost, T[pivot_row])]
-        basis[pivot_row] = enter
-    return -cost[-1] == 0
+            if i != best:
+                c = T[i][enter]
+                T[i] = [(piv * x - c * y) // prev for x, y in zip(T[i], prow)]
+        c = cost[enter]
+        cost = [(piv * x - c * y) // prev for x, y in zip(cost, prow)]
+        prev = piv
+        basis[best] = enter
+    return cost[-1] == 0
 
 
 def rays_in_kernel(f, lat):
@@ -257,11 +257,10 @@ def cone_face_compat(f, lat):
             continue
         # violation iff some x = sum lam_j r_j with lam >= 0, lam_j >= 1 for
         # one outside j, pairing zero against every basis character
+        A = [[pairing(chi, f.rays[i]) for i in c] for chi in lat.basis]
         for j in outside:
-            k = len(c)
-            A = [[Fraction(pairing(chi, f.rays[i])) for i in c] for chi in lat.basis]
-            b = [Fraction(-pairing(chi, f.rays[j])) for chi in lat.basis]
             # substitute lam_j = 1 + mu_j
+            b = [-pairing(chi, f.rays[j]) for chi in lat.basis]
             if feasible_nonneg(A, b):
                 bad.append(("interior_meets_kernel", c, j))
                 break
@@ -378,36 +377,37 @@ def induced_fan(f, lat):
 
 
 def relint_coords(f, cone, vec):
-    """Rational coordinates of vec on the cone's rays, or None if outside the
+    """Coordinates of vec on the cone's rays as (nums, den) with den > 0 and
+    vec == sum(nums[i] * rays[i]) / den, or None if vec is outside the
     rational span.  Cone rays are independent so coordinates are unique."""
-    rows = [f.rays[i] for i in cone]
-    # solve vec = sum x_i rows_i exactly over Q by elimination
-    m = len(rows)
-    n = f.rank
-    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(vec[j])] for j in range(n)]
-    piv_cols = []
-    r = 0
+    m = len(cone)
+    # fraction-free (Bareiss) elimination on [rays | vec], one row per axis
+    aug = [[f.rays[i][j] for i in cone] + [_as_int(vec[j])] for j in range(f.rank)]
+    r, prev = 0, 1
     for col in range(m):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
+        piv = next((i for i in range(r, f.rank) if aug[i][col]), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][col] for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                aug[i] = [x - aug[i][col] * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][-1]:
-            return None
-    coords = [Fraction(0)] * m
-    for row_idx, col in enumerate(piv_cols):
-        coords[col] = aug[row_idx][-1]
+        p = aug[r][col]
+        for i in range(r + 1, f.rank):
+            c = aug[i][col]
+            aug[i] = [(p * x - c * y) // prev for x, y in zip(aug[i], aug[r])]
+        r, prev = r + 1, p
+    if any(aug[i][-1] for i in range(r, f.rank)):
+        return None
     if r < m:
         # dependent rays cannot occur for simplicial cones; defensive
         raise ValueError("cone rays are dependent")
-    return coords
+    # prev is the determinant of the pivot block, so prev * x is integral
+    # (Cramer) and back substitution divides exactly
+    nums = [0] * m
+    for i in reversed(range(m)):
+        t = aug[i][-1] * prev - sum(aug[i][j] * nums[j] for j in range(i + 1, m))
+        nums[i] = t // aug[i][i]
+    if prev < 0:
+        return [-x for x in nums], -prev
+    return nums, prev
 
 
 def stellar_subdivide(f, cone, new_ray):
@@ -424,7 +424,7 @@ def stellar_subdivide(f, cone, new_ray):
     if new_ray in f.rays:
         raise RayNotInterior("ray already present: %r" % (new_ray,))
     coords = relint_coords(f, cone, new_ray)
-    if coords is None or any(x <= 0 for x in coords):
+    if coords is None or any(x <= 0 for x in coords[0]):
         raise RayNotInterior("not in the relative interior of %r" % (cone,))
     rays = f.rays + (new_ray,)
     star = len(f.rays)
@@ -465,10 +465,18 @@ def search_good_fan(f, lattices, budget=64):
     rays.  Returns (fan, subdivision count).  Raises BudgetExhausted."""
     current = f
     steps = 0
+    # Lattices with an equal-sign basis.  A new ray is a positive sum of the
+    # rays of one face, so a character one-signed on a cone stays one-signed
+    # on every cone of its star: the basis survives every later subdivision.
+    done = set()
     while True:
         pending = None
-        for lat in lattices:
-            if find_equal_sign_basis(current, lat) is None:
+        for idx, lat in enumerate(lattices):
+            if idx in done:
+                continue
+            if find_equal_sign_basis(current, lat) is not None:
+                done.add(idx)
+            else:
                 pending = first_equal_sign_violation(current, lat)
                 if pending is None:
                     # no single-character repair target; subdivide the first

@@ -1,9 +1,11 @@
 """Exact integer lattice algebra: HNF, SNF, saturation, adapted bases.
 
-Everything here works over plain Python ints (arbitrary precision) and
-fractions.Fraction; no floats, no modular shortcuts.  Matrices are lists or
-tuples of equal-length integer rows.  All functions are pure and all returned
-matrices are tuples of tuples, safe to hash and share.
+Everything here works over plain Python ints (arbitrary precision); no
+floats.  Q/Z values are int numerators reduced mod one exact common
+denominator (never mod a prime or other modulus) and become fractions.Fraction
+only where they are returned.  Matrices are lists or tuples of equal-length
+integer rows.  All functions are pure and all returned matrices are tuples of
+tuples, safe to hash and share.
 
 The kernels whose inputs repeat within one request (solve_in_lattice,
 saturate, torsion_frame) are memoised by value; what they return is
@@ -13,6 +15,8 @@ immutable because every caller shares it.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -406,6 +410,19 @@ def qz(value):
     return Fraction(f.numerator % f.denominator, f.denominator)
 
 
+def qz_numerators(values):
+    """(nums, den): the values in Q/Z as ints in [0, den) over their lcm den."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) % den for v in values], den
+
+
+def qz_dot(coeffs, values):
+    """qz(sum c * v) for int coefficients and rational values."""
+    nums, den = qz_numerators(values)
+    return Fraction(sum(c * a for c, a in zip(coeffs, nums)) % den, den)
+
+
 @dataclass(frozen=True)
 class TorsionFrame:
     """What solve_torsion_congruences needs from the generators alone.
@@ -445,31 +462,22 @@ def solve_torsion_congruences(gens, values, ambient_rank):
     the constraints are inconsistent.  The number of solutions always equals
     the index of span(gens) inside its saturation.
     """
-    values = [qz(v) for v in values]
-    if len(gens) != len(values):
+    nums, den = qz_numerators(values)
+    if len(gens) != len(nums):
         raise ValueError("one value per generator required")
     frame = torsion_frame(gens, ambient_rank)
     if frame.sat.rank == 0:
-        return [()] if all(v == 0 for v in values) else []
+        return [()] if not any(nums) else []
     u, divisors, v = frame.u, frame.divisors, frame.v
-    m, s = len(values), len(divisors)
-    w = [qz(sum(Fraction(u[i][j]) * values[j] for j in range(m))) for i in range(m)]
-    for i in range(s, m):
-        if w[i] != 0:
-            return []
+    # w = u * values in Q/Z; the rows past rank(sat) must vanish
+    w = [sum(x * a for x, a in zip(row, nums)) % den for row in u]
+    if any(w[len(divisors):]):
+        return []
+    # y_i = (w_i / den + k_i) / d_i over one denominator: d_1 | d_2 | ...
+    big = den * divisors[-1]
+    scale = [big // (den * d) for d in divisors]
     sols = []
-
-    def rec(i, ys):
-        if i == s:
-            x = tuple(
-                qz(sum(Fraction(v[row][col]) * ys[col] for col in range(s)))
-                for row in range(s)
-            )
-            sols.append(x)
-            return
-        base = w[i] / divisors[i]
-        for k in range(divisors[i]):
-            rec(i + 1, ys + [qz(base + Fraction(k, divisors[i]))])
-
-    rec(0, [])
-    return sorted(set(sols))
+    for ks in itertools.product(*(range(d) for d in divisors)):
+        y = [(w[i] + k * den) * scale[i] for i, k in enumerate(ks)]
+        sols.append(tuple(sum(x * b for x, b in zip(row, y)) % big for row in v))
+    return [tuple(Fraction(x, big) for x in sol) for sol in sorted(sols)]

@@ -16,6 +16,7 @@ from .lattice import (
     Sublattice,
     is_split_summand,
     qz,
+    qz_dot,
     solve_in_lattice,
     solve_torsion_congruences,
     span_rows,
@@ -42,7 +43,7 @@ class Layer:
         coords = solve_in_lattice(self.gamma.basis, chi)
         if coords is None:
             raise ValueError("character not in the layer's lattice: %r" % (chi,))
-        return qz(sum(Fraction(c) * v for c, v in zip(coords, self.phi)))
+        return qz_dot(coords, self.phi)
 
     def sort_key(self):
         return (self.codim, self.gamma.basis, self.phi)
@@ -60,11 +61,8 @@ def layer(gamma_rows, phi, ambient_rank):
     if len(rows) != len(phi):
         raise ValueError("one phi value per basis row required")
     lat = sublattice(rows, ambient_rank)
-    canon_phi = []
-    for h in lat.basis:
-        coords = solve_in_lattice(rows, list(h)) if rows else ()
-        canon_phi.append(qz(sum(Fraction(c) * v for c, v in zip(coords, phi))))
-    return Layer(lat, tuple(canon_phi))
+    coords = (solve_in_lattice(rows, h) if rows else () for h in lat.basis)
+    return Layer(lat, tuple(qz_dot(c, phi) for c in coords))
 
 
 def torus(ambient_rank):

@@ -5,9 +5,13 @@ nestedness in the augmented building set is re-derived from the full
 stratified poset of (layer, cone) pairs, ring slices are rebuilt over every
 monomial of their degree with every relation as a row, and the member-subset
 searches and the poset closure go through every subset and every pair.
+The Q/Z, simplex and cone-coordinate kernels are kept here in their
+fractions.Fraction form, and the greedy fan search without its record of
+lattices already repaired.
 """
 
 import itertools
+from fractions import Fraction
 
 from wondertoric.building import minimal_containing
 from wondertoric.cohomology import (
@@ -18,8 +22,23 @@ from wondertoric.cohomology import (
     pmul_mono,
     psplit,
 )
-from wondertoric.fans import Report, pairing
-from wondertoric.lattice import hermite_normal_form, kernel_basis
+from wondertoric.errors import BudgetExhausted
+from wondertoric.fans import (
+    Report,
+    find_equal_sign_basis,
+    first_equal_sign_violation,
+    pairing,
+    primitive,
+    stellar_subdivide,
+)
+from wondertoric.lattice import (
+    hermite_normal_form,
+    kernel_basis,
+    qz,
+    solve_in_lattice,
+    sublattice,
+    torsion_frame,
+)
 from wondertoric.layers import (
     LayerPoset,
     closure_nonempty_with_orbit,
@@ -273,3 +292,168 @@ def restriction_kernel_reference(rmap, kernel_gens, max_degree):
         if got != tuple(span.hnf_rows()):
             bad.append(("kernel_mismatch", d))
     return Report(not bad, tuple(bad))
+
+
+# -- Fraction forms of the Q/Z and cone kernels ------------------------------
+
+
+def solve_torsion_congruences_reference(gens, values, ambient_rank):
+    """lattice.solve_torsion_congruences with every Q/Z value a Fraction."""
+    values = [qz(v) for v in values]
+    if len(gens) != len(values):
+        raise ValueError("one value per generator required")
+    frame = torsion_frame(gens, ambient_rank)
+    if frame.sat.rank == 0:
+        return [()] if all(v == 0 for v in values) else []
+    u, divisors, v = frame.u, frame.divisors, frame.v
+    m, s = len(values), len(divisors)
+    w = [qz(sum(Fraction(u[i][j]) * values[j] for j in range(m))) for i in range(m)]
+    for i in range(s, m):
+        if w[i] != 0:
+            return []
+    sols = []
+
+    def rec(i, ys):
+        if i == s:
+            x = tuple(
+                qz(sum(Fraction(v[row][col]) * ys[col] for col in range(s)))
+                for row in range(s)
+            )
+            sols.append(x)
+            return
+        base = w[i] / divisors[i]
+        for k in range(divisors[i]):
+            rec(i + 1, ys + [qz(base + Fraction(k, divisors[i]))])
+
+    rec(0, [])
+    return sorted(set(sols))
+
+
+def value_on_reference(lay, chi):
+    """layers.Layer.value_on summed in Fractions."""
+    coords = solve_in_lattice(lay.gamma.basis, chi)
+    if coords is None:
+        raise ValueError("character not in the layer's lattice: %r" % (chi,))
+    return qz(sum(Fraction(c) * v for c, v in zip(coords, lay.phi)))
+
+
+def layer_phi_reference(gamma_rows, phi, ambient_rank):
+    """The canonical phi of layers.layer(gamma_rows, phi, ambient_rank),
+    summed in Fractions."""
+    rows = [list(map(int, r)) for r in gamma_rows]
+    phi = [qz(v) for v in phi]
+    lat = sublattice(rows, ambient_rank)
+    canon_phi = []
+    for h in lat.basis:
+        coords = solve_in_lattice(rows, list(h)) if rows else ()
+        canon_phi.append(qz(sum(Fraction(c) * v for c, v in zip(coords, phi))))
+    return tuple(canon_phi)
+
+
+def feasible_nonneg_reference(A, b):
+    """fans.feasible_nonneg as a phase-1 simplex over Fractions, with the
+    same Bland rule."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = []
+    rhs = []
+    for row, bv in zip(A, b):
+        row = [Fraction(x) for x in row]
+        bv = Fraction(bv)
+        if bv < 0:
+            row = [-x for x in row]
+            bv = -bv
+        rows.append(row)
+        rhs.append(bv)
+    if m == 0:
+        return True
+    # tableau columns: n originals + m artificials
+    T = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # objective: minimize sum of artificials; reduced costs start from that
+    cost = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] -= T[i][j]
+    for j in range(n, n + m):
+        cost[j] += 1
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            return False
+        _, pivot_row = best
+        piv = T[pivot_row][enter]
+        T[pivot_row] = [x / piv for x in T[pivot_row]]
+        for i in range(m):
+            if i != pivot_row and T[i][enter]:
+                coef = T[i][enter]
+                T[i] = [x - coef * y for x, y in zip(T[i], T[pivot_row])]
+        if cost[enter]:
+            coef = cost[enter]
+            cost = [x - coef * y for x, y in zip(cost, T[pivot_row])]
+        basis[pivot_row] = enter
+    return -cost[-1] == 0
+
+
+def relint_coords_reference(f, cone, vec):
+    """Fraction coordinates of vec on the cone's rays by Gauss-Jordan
+    elimination over Q, or None if vec is outside their span."""
+    rows = [f.rays[i] for i in cone]
+    m = len(rows)
+    n = f.rank
+    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(vec[j])] for j in range(n)]
+    piv_cols = []
+    r = 0
+    for col in range(m):
+        piv = next((i for i in range(r, n) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][col] for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][col]:
+                aug[i] = [x - aug[i][col] * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(col)
+        r += 1
+    for i in range(r, n):
+        if aug[i][-1]:
+            return None
+    coords = [Fraction(0)] * m
+    for row_idx, col in enumerate(piv_cols):
+        coords[col] = aug[row_idx][-1]
+    if r < m:
+        raise ValueError("cone rays are dependent")
+    return coords
+
+
+def search_good_fan_reference(f, lattices, budget=64):
+    """fans.search_good_fan searching every lattice again on every new fan."""
+    current = f
+    steps = 0
+    while True:
+        pending = None
+        for lat in lattices:
+            if find_equal_sign_basis(current, lat) is None:
+                pending = first_equal_sign_violation(current, lat)
+                if pending is None:
+                    for c in current.max_cones:
+                        if any(pairing(chi, current.rays[i]) for chi in lat.basis for i in c):
+                            pending = (c, lat.basis[0], c)
+                            break
+                break
+        if pending is None:
+            return current, steps
+        if steps >= budget:
+            raise BudgetExhausted("no good fan within %d subdivisions" % budget)
+        _, _, face = pending
+        total = [sum(current.rays[i][j] for i in face) for j in range(current.rank)]
+        current = stellar_subdivide(current, face, primitive(total))
+        steps += 1

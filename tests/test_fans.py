@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -6,6 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import (
+    feasible_nonneg_reference,
+    relint_coords_reference,
+    search_good_fan_reference,
+)
 from wondertoric import fans
 from wondertoric.errors import BudgetExhausted, MalformedFan, NotCompatible, RayNotInterior
 from wondertoric.fans import (
@@ -18,6 +24,7 @@ from wondertoric.fans import (
     feasible_nonneg,
     find_equal_sign_basis,
     induced_fan,
+    relint_coords,
     search_good_fan,
     stellar_subdivide,
     validate_complete,
@@ -25,6 +32,7 @@ from wondertoric.fans import (
     validate_smooth,
 )
 from wondertoric.lattice import span_rows, sublattice
+from wondertoric.layers import build_layer_poset, layer
 
 P1 = fan(1, [(1,), (-1,)], [(0,), (1,)])
 P1xP1 = fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -295,3 +303,142 @@ def test_cached_fan_kernels_equal_their_bodies(pair, bound):
     assert find_equal_sign_basis(same, L, bound) == want_basis
     assert cone_face_compat(same, L) == want_compat
     hash((want_basis, want_compat))  # shared values are immutable
+
+
+# --- the integer cone kernels against their Fraction forms -------------------
+
+
+def test_feasible_nonneg_rejects_non_integer_entries():
+    for A, b in (
+        ([[Fraction(1, 2), 1]], [1]),
+        ([[1, 1]], [Fraction(3, 2)]),
+        ([[1, 0.5]], [1]),
+        ([[1, 1]], [-0.5]),
+    ):
+        with pytest.raises(ValueError):
+            feasible_nonneg(A, b)
+    # integral values of other types are the same integers
+    assert feasible_nonneg([[Fraction(2), 1.0]], [Fraction(-4, 2)]) is False
+    assert feasible_nonneg([[Fraction(2), -1.0]], [Fraction(-4, 2)]) is True
+
+
+def test_feasible_nonneg_degenerate_ratio_ties():
+    # zero right-hand sides tie every ratio at 0, so Bland's rule picks the
+    # leaving row; the answers are the Fraction simplex's
+    cases = [
+        ([[1, 1, 0], [1, 0, 1]], [0, 0]),
+        ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], [0, 0, 0]),
+        ([[1, 1], [1, 1], [2, 2]], [1, 1, 2]),
+        ([[1, 2, -1], [2, 4, -2]], [3, 7]),
+        ([[1, -2, 3, 0, 1], [0, 1, 1, -1, 0], [1, -1, 4, -1, 1]], [2, 0, 2]),
+    ]
+    for A, b in cases:
+        assert feasible_nonneg(A, b) == feasible_nonneg_reference(A, b)
+    assert [feasible_nonneg(A, b) for A, b in cases] == [True, True, True, False, True]
+
+
+@st.composite
+def small_systems(draw):
+    """A x = b with at most 4 rows, 5 columns and entries in [-3, 3].  Half
+    of the right-hand sides are A x0 for some x0 >= 0 with zeros (feasible,
+    degenerate), half are arbitrary (negative ones and infeasible ones)."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    return A, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=small_systems())
+def test_feasible_nonneg_equals_the_fraction_simplex(system):
+    A, b = system
+    assert feasible_nonneg(A, b) is feasible_nonneg_reference(A, b)
+
+
+def faces(f):
+    return sorted({face for c in f.max_cones for k in range(len(c) + 1)
+                   for face in itertools.combinations(c, k)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.sampled_from(FANS), data=st.data())
+def test_relint_coords_equals_the_fraction_elimination(f, data):
+    cone = data.draw(st.sampled_from(faces(f)))
+    if data.draw(st.booleans()):  # a point of the span, often of the interior
+        lams = data.draw(st.lists(st.integers(-2, 3), min_size=len(cone), max_size=len(cone)))
+        vec = [sum(l * f.rays[i][j] for l, i in zip(lams, cone)) for j in range(f.rank)]
+    else:  # mostly outside the span
+        vec = data.draw(st.lists(st.integers(-3, 3), min_size=f.rank, max_size=f.rank))
+    want = relint_coords_reference(f, cone, vec)
+    got = relint_coords(f, cone, vec)
+    if want is None:
+        assert got is None
+    else:
+        nums, den = got
+        assert den > 0
+        assert [Fraction(x, den) for x in nums] == want
+
+
+def test_relint_coords_examples():
+    assert relint_coords(P2, (0, 1), (1, 1)) == ([1, 1], 1)
+    assert relint_coords(P2, (0,), (1, 1)) is None
+    assert relint_coords(P2, (), (0, 0)) == ([], 1)
+    for cone in CUBE_SUBDIVIDED.max_cones:
+        nums, den = relint_coords(CUBE_SUBDIVIDED, cone, (1, 2, 3))
+        want = relint_coords_reference(CUBE_SUBDIVIDED, cone, (1, 2, 3))
+        assert [Fraction(x, den) for x in nums] == want
+    with pytest.raises(ValueError):
+        relint_coords(P2, (0, 1), (Fraction(1, 2), 0))
+
+
+# the repair families of the benchmark's oracle_repair workload
+SQUARE = (P1xP1.rays, P1xP1.max_cones)
+SEARCH_FAMILIES = {
+    "skew": (SQUARE, ((1, 1), (1, -1), (1, 2), (2, 1)), 64),
+    "planes": ((CUBE.rays, CUBE.max_cones), ((1, 1, 0), (1, -1, 0), (0, 0, 1)), 64),
+    # never converges; each search runs to its budget
+    "divergent": ((CUBE.rays, CUBE.max_cones), ((1, 1, 1), (1, 0, 0)), 16),
+}
+
+
+def signed_labelings(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield lambda v, p=perm, s=signs: tuple(s[i] * v[p[i]] for i in range(n))
+
+
+def search_outcome(search, f, lats, budget):
+    try:
+        return search(f, lats, budget)
+    except BudgetExhausted as exc:
+        return ("exhausted", str(exc))
+
+
+@pytest.mark.parametrize("family", sorted(SEARCH_FAMILIES))
+def test_search_good_fan_equals_the_loop_that_searches_every_lattice(family):
+    (rays, cones), chars, budget = SEARCH_FAMILIES[family]
+    n = len(rays[0])
+    exhausted = 0
+    for move in signed_labelings(n):
+        f = fan(n, [move(r) for r in rays], cones)
+        poset = build_layer_poset([layer([move(c)], [0], n) for c in chars])
+        lats = [e.gamma for e in poset.elements]
+        got = search_outcome(search_good_fan, f, lats, budget)
+        assert got == search_outcome(search_good_fan_reference, f, lats, budget)
+        exhausted += got[0] == "exhausted"
+    assert exhausted == (2 ** n * math.factorial(n) if family == "divergent" else 0)
+
+
+def test_divergent_search_exhausts_the_default_budget_like_the_loop():
+    (rays, cones), chars, _ = SEARCH_FAMILIES["divergent"]
+    for move in itertools.islice(signed_labelings(3), 0, 48, 47):  # first, last
+        f = fan(3, [move(r) for r in rays], cones)
+        lats = [e.gamma for e in build_layer_poset([layer([move(c)], [0], 3) for c in chars]).elements]
+        got = search_outcome(search_good_fan, f, lats, 64)
+        assert got == search_outcome(search_good_fan_reference, f, lats, 64)
+        assert got == ("exhausted", "no good fan within 64 subdivisions")

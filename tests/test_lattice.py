@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _oracles import solve_torsion_congruences_reference
 from wondertoric import lattice
 from wondertoric.errors import NotContained, NotSaturated
 from wondertoric.lattice import (
@@ -430,3 +431,42 @@ def test_mutating_inputs_and_results_leaves_the_caches_intact():
     # shared values are immutable
     for value in (frame, coords, saturate(span_rows([[2, 0]], 2))):
         hash(value)
+
+
+# --- the int Q/Z kernel against its Fraction form ----------------------------
+
+# denominators of the benchmark translations (97), of the torsion tests (6),
+# their mix, and large ones up to 10**6
+DENOMINATORS = st.sampled_from([1, 2, 6, 97, 6 * 97, 9973, 65536, 999983, 10**6])
+
+
+@st.composite
+def rationals(draw):
+    return Fraction(draw(st.integers(-(10**6), 10**6)), draw(DENOMINATORS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mat=small_matrices(), data=st.data())
+def test_torsion_congruences_equal_the_fraction_form(mat, data):
+    gens, n = mat
+    if data.draw(st.booleans()):  # values of a character of the saturation
+        sat = saturate(span_rows(gens, n))
+        phi = [data.draw(rationals()) for _ in sat.basis]
+        values = [
+            sum(Fraction(c) * p for c, p in zip(solve_in_lattice(sat.basis, g), phi))
+            for g in gens
+        ]
+    else:  # arbitrary values, mostly inconsistent
+        values = [data.draw(rationals()) for _ in gens]
+    want = solve_torsion_congruences_reference(gens, values, n)
+    got = solve_torsion_congruences(gens, values, n)
+    assert got == want
+    assert all(type(x) is Fraction for sol in got for x in sol)
+    # ints and integral Fractions are the same values
+    ints = [v.numerator if v.denominator == 1 else v for v in values]
+    assert solve_torsion_congruences(gens, ints, n) == want
+
+
+def test_torsion_congruences_reject_a_missing_value():
+    with pytest.raises(ValueError):
+        solve_torsion_congruences([[1, 0], [0, 1]], [Fraction(1, 2)], 2)

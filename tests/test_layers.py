@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import layer_phi_reference, value_on_reference
 from wondertoric.errors import NotSplit
 from wondertoric.fans import fan
 from wondertoric.layers import (
@@ -129,3 +132,43 @@ def test_layer_json_roundtrip():
     assert layer_from_dict(doc, 2) == XM1
     t = torus(2)
     assert layer_from_dict(layer_to_dict(t), 2) == t
+
+
+# --- the int Q/Z sums against their Fraction form ---------------------------
+
+
+@st.composite
+def layer_inputs(draw):
+    """Independent rows with entries in [-3, 3] and one value each, with
+    denominators mixed from 6, 97 and up to 10**6."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=0, max_size=n))
+    if span_rows(rows, n).rank != len(rows):
+        rows = [list(r) for r in span_rows(rows, n).basis]
+    den = st.sampled_from([1, 2, 6, 97, 582, 999983, 10**6])
+    phi = [
+        Fraction(draw(st.integers(-(10**6), 10**6)), draw(den)) for _ in rows
+    ]
+    return rows, phi, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=layer_inputs(), data=st.data())
+def test_layer_phi_and_value_on_equal_the_fraction_form(inputs, data):
+    rows, phi, n = inputs
+    lay = layer(rows, phi, n)
+    assert lay.phi == layer_phi_reference(rows, phi, n)
+    assert layer(rows, [str(v) for v in phi], n) == lay
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    chi = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    assert lay.value_on(chi) == value_on_reference(lay, chi)
+    assert all(type(v) is Fraction for v in lay.phi + (lay.value_on(chi),))
+    other = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    if lay.gamma.contains_vector(other):
+        assert lay.value_on(other) == value_on_reference(lay, other)
+    else:
+        with pytest.raises(ValueError):
+            lay.value_on(other)
+        with pytest.raises(ValueError):
+            value_on_reference(lay, other)

@@ -21,3 +21,14 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_fans_does_not_import_fractions():
+    # the cone kernels (simplex, cone coordinates) stay in integers
+    path = os.path.join(SRC, "fans.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    modules = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m and m.split(".")[0] == "fractions"]
