@@ -13,22 +13,17 @@ from dataclasses import dataclass
 
 from .errors import CycleDetected, NotBuilding, NotLast
 from .fans import Report, merge_reports, rays_in_kernel
-from .layers import LayerPoset, intersect_layers, layer_inclusion
-from .lattice import saturate, span_rows
+from .layers import LayerPoset
 
 
-def minimal_containing(candidate_ids, poset, lam):
-    """Ids of the inclusion-minimal candidate members containing the layer."""
-    containing = [
-        i for i in candidate_ids if layer_inclusion(lam, poset.elements[i])
-    ]
+def minimal_containing(candidate_ids, poset, k):
+    """Ids of the inclusion-minimal candidate members containing element k."""
+    incl = poset.inclusion
+    containing = [i for i in candidate_ids if incl[k][i]]
     return sorted(
         i
         for i in containing
-        if not any(
-            j != i and layer_inclusion(poset.elements[j], poset.elements[i])
-            for j in containing
-        )
+        if not any(j != i and incl[j][i] for j in containing)
     )
 
 
@@ -40,12 +35,11 @@ def validate_building(candidate_ids, poset):
     for idx, lam in enumerate(poset.elements):
         if idx in candidate_ids:
             continue
-        mins = minimal_containing(candidate_ids, poset, lam)
+        mins = minimal_containing(candidate_ids, poset, idx)
         if not mins:
             bad.append(("no_containing_member", idx))
             continue
-        comps = intersect_layers([poset.elements[i] for i in mins])
-        if lam not in comps:
+        if idx not in poset.meet(mins):
             bad.append(("not_a_component", idx, tuple(mins)))
             continue
         if lam.codim != sum(poset.elements[i].codim for i in mins):
@@ -53,32 +47,26 @@ def validate_building(candidate_ids, poset):
     return Report(not bad, tuple(bad))
 
 
-def antichains(ids, poset, start=None, keep=None):
+def antichains(ids, poset, start=-1):
     """Depth-first walk over the antichains of the elements `ids`, in
     lexicographic order of their sorted id tuples.
 
-    Yields (antichain, components): the components of the intersection of
-    the antichain's layers with the `start` components (default: the whole
-    torus) that pass `keep`.  Each step intersects each component with one
-    more layer.  An antichain left with no component is yielded but not
+    Yields (antichain, mask): the bitmask of the elements of `start`
+    (default: all, i.e. the whole torus) below every element of the
+    antichain, whose maximal elements (poset.components) are the components
+    of the intersection.  An antichain with an empty mask is yielded but not
     extended, since its supersets stay empty.  Comparable elements never go
     together: they do not change an intersection.
     """
     ids = sorted(set(ids))
-    incl = poset.inclusion
+    incl, below = poset.inclusion, poset.below
 
-    def walk(sub, comps, lo):
+    def walk(sub, mask, lo):
         for k in range(lo, len(ids)):
             e = ids[k]
             if any(incl[e][j] or incl[j][e] for j in sub):
                 continue
-            lay = poset.elements[e]
-            if comps is None:
-                new = [lay]
-            else:
-                new = [c for old in comps for c in intersect_layers([old, lay])]
-            if keep is not None:
-                new = [c for c in new if keep(c)]
+            new = mask & below[e]
             yield sub + (e,), new
             if new:
                 yield from walk(sub + (e,), new, k + 1)
@@ -92,12 +80,11 @@ def validate_well_connected(candidate_ids, poset):
     supersets of an empty intersection are empty.  Failures come by size,
     then lexicographically."""
     ids = set(candidate_ids)
-    member_layers = {poset.elements[i] for i in ids}
-    bad = [
-        ("stray_component", sub)
-        for sub, comps in antichains(ids, poset)
-        if len(comps) > 1 and any(c not in member_layers for c in comps)
-    ]
+    bad = []
+    for sub, mask in antichains(ids, poset):
+        comps = poset.components(mask)
+        if len(comps) > 1 and not ids.issuperset(comps):
+            bad.append(("stray_component", sub))
     bad.sort(key=lambda fl: (len(fl[1]), fl[1]))
     return Report(not bad, tuple(bad))
 
@@ -160,35 +147,21 @@ def induced_building_on(z_id, building):
     poset = building.poset
     if not building.members or building.members[-1] != z_id:
         raise NotLast("induced building requires the last member")
-    z_layer = poset.elements[z_id]
-    out = []
-    seen = []
+    out = {}  # element id -> position of the first member cutting it
     for pos in range(len(building.members) - 1):
-        g_layer = building.member_layer(pos)
-        comps = intersect_layers([g_layer, z_layer])
-        if len(comps) != 1:
-            continue
-        h = comps[0]
-        if h == z_layer:
-            # cannot happen when the order refines inclusion; defensive
-            continue
-        if h not in seen:
-            seen.append(h)
-            out.append((poset.index_of(h), pos))
-    return out
+        comps = poset.meet([building.members[pos], z_id])
+        # comps == [z_id] cannot happen when the order refines inclusion
+        if len(comps) == 1 and comps[0] != z_id:
+            out.setdefault(comps[0], pos)
+    return list(out.items())
 
 
 def induced_poset(poset, z_id):
-    """Layer poset of everything strictly below Z, rebuilt from the elements
-    strictly contained in it."""
-    z_layer = poset.elements[z_id]
-    below = [
-        e
-        for e in poset.elements
-        if e != z_layer and layer_inclusion(e, z_layer)
-    ]
-    elements = tuple(sorted(below, key=lambda l: l.sort_key()))
-    incl = tuple(tuple(layer_inclusion(a, b) for b in elements) for a in elements)
+    """Layer poset of everything strictly below Z: the elements strictly
+    contained in it, in poset order, and their rows of the table."""
+    ids = [i for i in range(len(poset.elements)) if i != z_id and poset.inclusion[i][z_id]]
+    elements = tuple(poset.elements[i] for i in ids)
+    incl = tuple(tuple(poset.inclusion[a][b] for b in ids) for a in ids)
     return LayerPoset(elements, incl)
 
 
@@ -199,26 +172,24 @@ def is_nested(t_ids, building):
     poset, t_ids = building.poset, set(t_ids)
     if any(i not in building.members for i in t_ids):
         raise ValueError("nested candidates must be building members")
-    for sub, comps in antichains(t_ids, poset):
+    for sub, mask in antichains(t_ids, poset):
         target = sum(poset.elements[i].codim for i in sub)
         if len(sub) > 1 and not any(
-            lam.codim == target
-            and minimal_containing(building.members, poset, lam) == list(sub)
-            for lam in comps
+            poset.elements[k].codim == target
+            and minimal_containing(building.members, poset, k) == list(sub)
+            for k in poset.components(mask)
         ):
             return False
     return True
 
 
 def combined_lattice(t_ids, building):
-    """Saturation of the sum of the member lattices; the common lattice of
-    every component of the intersection."""
-    poset = building.poset
-    n = poset.elements[t_ids[0]].ambient_rank if t_ids else None
-    if n is None:
-        raise ValueError("empty member set has no combined lattice")
-    rows = [list(r) for i in t_ids for r in poset.elements[i].gamma.basis]
-    return saturate(span_rows(rows, n))
+    """Saturation of the sum of the member lattices: the common lattice of
+    every component of their intersection, which must not be empty."""
+    comps = building.poset.meet(t_ids)  # ValueError on an empty member set
+    if not comps:
+        raise ValueError("members do not meet: %r" % (list(t_ids),))
+    return building.poset.elements[comps[0]].gamma
 
 
 def nested_plus_sets(building, f):

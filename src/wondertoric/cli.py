@@ -8,6 +8,7 @@ WONDER_SEED environment variable is recorded in search artifacts.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -349,7 +350,8 @@ def _text_for(command, doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _parse(argv):
+@functools.lru_cache(maxsize=1)  # parse_args does not change the parser
+def _parser():
     ap = argparse.ArgumentParser(
         prog="wondertoric",
         description="presentations and Betti oracles for compactified "
@@ -368,7 +370,7 @@ def _parse(argv):
             p.add_argument("--nested", default=None, help="inline nested-set JSON")
         if name == "goodfan":
             p.add_argument("--search", action="store_true")
-    return ap.parse_args(argv)
+    return ap
 
 
 def _emit(payload, output):
@@ -381,7 +383,7 @@ def _emit(payload, output):
 
 def main(argv=None):
     try:
-        args = _parse(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

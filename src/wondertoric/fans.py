@@ -317,13 +317,12 @@ def _find_equal_sign_basis(f, lat, bound):
     return None
 
 
-def validate_good(f, lattices, bases=None):
+def validate_good(f, lattices):
     """Smooth + complete + equal-sign basis and face compatibility for every
-    arrangement sublattice.  bases may supply a candidate basis per lattice;
-    missing ones are searched for."""
+    arrangement sublattice."""
     reports = [validate_smooth(f), validate_complete(f)]
     for idx, lat in enumerate(lattices):
-        cand = bases[idx] if bases and bases[idx] is not None else find_equal_sign_basis(f, lat)
+        cand = find_equal_sign_basis(f, lat)
         if cand is None:
             reports.append(Report(False, (("no_equal_sign_basis", idx),)))
             compat = cone_face_compat(f, lat)

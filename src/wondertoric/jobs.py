@@ -9,7 +9,6 @@ their own exception types so the command line can tell the two apart.
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .building import building_set
@@ -163,6 +162,7 @@ def parallel_map(fn, items, jobs=None):
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # costly; no command pools
     try:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(fn, items))

@@ -8,7 +8,7 @@ on the canonical HNF basis of gamma, so equal layers compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotSplit
@@ -125,8 +125,18 @@ def intersect_layers(layers):
 
 @dataclass(frozen=True)
 class LayerPoset:
+    """Layers closed under the components of pairwise, and so of all,
+    intersections.  Elements are connected, so the components of a meet of
+    elements are the maximal elements below all of them."""
+
     elements: tuple  # Layers, sorted by (codim, basis, phi)
     inclusion: tuple  # inclusion[i][j] == elements[i] contained in elements[j]
+    below: tuple = field(init=False, repr=False, compare=False)  # bit i of below[j]: i in j
+
+    def __post_init__(self):
+        n = len(self.elements)
+        below = tuple(sum(1 << i for i in range(n) if self.inclusion[i][j]) for j in range(n))
+        object.__setattr__(self, "below", below)
 
     @property
     def codims(self):
@@ -134,6 +144,26 @@ class LayerPoset:
 
     def index_of(self, lay):
         return self.elements.index(lay)
+
+    def components(self, mask):
+        """Sorted ids of the maximal elements in the bitmask; for the lower
+        set of an intersection of elements, its components."""
+        ids, covered = [], 0
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            ids.append(bit.bit_length() - 1)
+            covered |= self.below[ids[-1]] & ~bit
+        return [i for i in ids if not covered >> i & 1]
+
+    def meet(self, ids):
+        """Sorted ids of the components of the intersection of the elements."""
+        if not ids:
+            raise ValueError("need at least one element")
+        mask = -1
+        for i in ids:
+            mask &= self.below[i]
+        return self.components(mask)
 
 
 def build_layer_poset(arrangement):

@@ -75,11 +75,7 @@ def blowup_plan(f, building):
 
 def _stage_betti(f, poset, stage, member_ids, memo):
     lat = stage.gamma
-    key = (
-        lat.basis,
-        stage.phi,
-        tuple((poset.elements[i].gamma.basis, poset.elements[i].phi) for i in member_ids),
-    )
+    key = (stage, tuple(member_ids))  # the ids index the one poset
     if key in memo:
         return memo[key]
     b = h_vector_oracle(induced_fan(f, lat))

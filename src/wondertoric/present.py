@@ -44,13 +44,7 @@ from .errors import (
     NotNested,
 )
 from .fans import fan_to_dict, merge_reports, rays_in_kernel, validate_good
-from .layers import (
-    closure_nonempty_with_orbit,
-    intersect_layers,
-    layer_inclusion,
-    layer_to_dict,
-    torus,
-)
+from .layers import closure_nonempty_with_orbit, layer_to_dict, torus
 
 
 @dataclass(frozen=True)
@@ -138,14 +132,22 @@ def _minimal_empty(building, nested, f):
     set's members and by the orbit closures of its rays, is empty; by size,
     then lexicographically.  A minimal set is an antichain, and its proper
     subsets are not empty, so one walk over antichains finds them all."""
-    keep = lambda k: closure_nonempty_with_orbit(k, nested.rays, f)
-    lays = [torus(f.rank)] + [building.member_layer(p) for p in nested.members]
-    start = intersect_layers(lays)
+    poset = building.poset
+    # Start from the elements whose closure meets the rays' orbit: an upper
+    # set (a larger layer has a smaller lattice), so the walk's masks hold
+    # exactly what lies below the components that meet the orbit.
+    start = sum(
+        1 << k
+        for k, e in enumerate(poset.elements)
+        if closure_nonempty_with_orbit(e, nested.rays, f)
+    )
+    for p in nested.members:
+        start &= poset.below[building.members[p]]
     pos = {i: p for p, i in enumerate(building.members)}
     empty = sorted(
         (len(sub), tuple(sorted(pos[i] for i in sub)))
-        for sub, comps in antichains(building.members, building.poset, start, keep)
-        if not comps
+        for sub, mask in antichains(building.members, poset, start)
+        if not mask
     )
     return [a for _, a in empty if not any(set(b) < set(a) for _, b in empty)]
 
@@ -205,16 +207,14 @@ def _assemble(f, building, nested, lift_rel):
                 if not combo:
                     mlayer = torus(n)
                 else:
-                    comps = intersect_layers([member_layers[j] for j in combo])
-                    holding = [
-                        k for k in comps if layer_inclusion(g_layer, k)
-                    ]
+                    comps = building.poset.meet([ids[j] for j in combo])
+                    holding = [k for k in comps if incl[g][k]]
                     if len(holding) != 1:  # components are disjoint
                         raise InvariantViolated(
                             "member %d lies in %d components of %r"
                             % (i, len(holding), combo)
                         )
-                    mlayer = holding[0]
+                    mlayer = building.poset.elements[holding[0]]
                 if (g_layer, mlayer) not in lifts:
                     lifts[g_layer, mlayer] = lift_rel(g_layer, mlayer, base, f)
                 p = lifts[g_layer, mlayer]

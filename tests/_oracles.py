@@ -4,7 +4,9 @@ These deliberately take a different route from the library code they verify:
 nestedness in the augmented building set is re-derived from the full
 stratified poset of (layer, cone) pairs, ring slices are rebuilt over every
 monomial of their degree with every relation as a row, and the member-subset
-searches and the poset closure go through every subset and every pair.
+searches and the poset closure go through every subset and every pair, and
+intersections go through the lattice arithmetic of `intersect_layers` rather
+than the poset's inclusion table.
 The Q/Z, simplex and cone-coordinate kernels are kept here in their
 fractions.Fraction form, and the greedy fan search without its record of
 lattices already repaired.
@@ -13,7 +15,6 @@ lattices already repaired.
 import itertools
 from fractions import Fraction
 
-from wondertoric.building import minimal_containing
 from wondertoric.cohomology import (
     RowEchelon,
     canon_terms,
@@ -45,6 +46,49 @@ from wondertoric.layers import (
     intersect_layers,
     layer_inclusion,
 )
+
+
+def minimal_containing_reference(candidate_ids, poset, lam):
+    """Ids of the inclusion-minimal candidate members containing the layer
+    lam, by layer inclusion."""
+    containing = [
+        i for i in candidate_ids if layer_inclusion(lam, poset.elements[i])
+    ]
+    return sorted(
+        i
+        for i in containing
+        if not any(
+            j != i and layer_inclusion(poset.elements[j], poset.elements[i])
+            for j in containing
+        )
+    )
+
+
+def antichains_reference(ids, poset, start=None, keep=None):
+    """The antichain walk carrying component Layers: yields (antichain,
+    components), each step intersecting every component with one more
+    layer.  start is a list of Layers (default: the whole torus) and keep a
+    predicate on Layers."""
+    ids = sorted(set(ids))
+    incl = poset.inclusion
+
+    def walk(sub, comps, lo):
+        for k in range(lo, len(ids)):
+            e = ids[k]
+            if any(incl[e][j] or incl[j][e] for j in sub):
+                continue
+            lay = poset.elements[e]
+            if comps is None:
+                new = [lay]
+            else:
+                new = [c for old in comps for c in intersect_layers([old, lay])]
+            if keep is not None:
+                new = [c for c in new if keep(c)]
+            yield sub + (e,), new
+            if new:
+                yield from walk(sub + (e,), new, k + 1)
+
+    return walk((), start, 0)
 
 
 def is_antichain(ids, poset):
@@ -100,7 +144,7 @@ def witness_exists(layer_part, ray_part, building, f):
     for lam in comps:
         if lam.codim != target:
             continue
-        if minimal_containing(building.members, poset, lam) != list(layer_part):
+        if minimal_containing_reference(building.members, poset, lam) != list(layer_part):
             continue
         if all(
             pairing(chi, f.rays[r]) == 0
@@ -145,7 +189,7 @@ def nested_reference(t_ids, building):
             target = sum(poset.elements[i].codim for i in sub)
             if not any(
                 lam.codim == target
-                and minimal_containing(building.members, poset, lam) == list(sub)
+                and minimal_containing_reference(building.members, poset, lam) == list(sub)
                 for lam in comps
             ):
                 return False

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import importlib
 import json
@@ -307,3 +308,67 @@ def test_cold_and_warm_caches_give_identical_runs(tmp_path, capsys):
     for fn in caches:
         info = fn.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, fn.__name__
+
+
+def test_parser_is_built_once_across_calls(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        job = golden_path("p1_one_point.job.json")
+        for command in ("betti", "check", "poset", "betti"):
+            assert main([command, "--input", job]) == 0
+        assert main(["betti", "--bogus"]) == 2
+        assert built.count("wondertoric") == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+CALLS_SCRIPT = """
+import contextlib, io, json, sys
+from wondertoric.cli import main
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    so, se = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+        code = main(argv)
+    out.append([code, so.getvalue(), se.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def run_python(*args):
+    src = os.path.dirname(os.path.dirname(wondertoric.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable] + list(args),
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_bad_flag_then_good_call_match_separate_runs():
+    bad = ["check", "--input", golden_path("p1_one_point.job.json"), "--bogus"]
+    good = ["check", "--input", golden_path("p1_one_point.job.json")]
+
+    def calls(*argvs):
+        return json.loads(run_python("-c", CALLS_SCRIPT, json.dumps(argvs)))
+
+    together = calls(bad, good)
+    assert together == calls(bad) + calls(good)
+    assert [code for code, _, _ in together] == [2, 0]
+    assert "--bogus" in together[0][2]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    script = "import sys, wondertoric.cli; print('concurrent.futures' in sys.modules)"
+    assert run_python("-c", script).strip() == "False"

@@ -1,4 +1,7 @@
+import itertools
+import pathlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from _oracles import layer_phi_reference, value_on_reference
 from wondertoric.errors import NotSplit
 from wondertoric.fans import fan
+from wondertoric.jobs import job_poset, load_job
 from wondertoric.layers import (
     build_layer_poset,
     closure_nonempty_with_orbit,
@@ -172,3 +176,72 @@ def test_layer_phi_and_value_on_equal_the_fraction_form(inputs, data):
             lay.value_on(other)
         with pytest.raises(ValueError):
             value_on_reference(lay, other)
+
+
+# --- the poset's table against the lattice arithmetic -----------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def fixed_posets():
+    """The poset of every golden job and of three coordinate planes of
+    (P1)^3, as in the model_rank3 workload."""
+    for path in sorted(GOLDEN.glob("*.job.json")):
+        yield path.name[: -len(".job.json")], job_poset(load_job(path))
+    planes = [((1, 0, 0), 5), ((0, 1, 0), 11), ((0, 0, 1), 60)]
+    yield "cube", build_layer_poset([layer([c], [Fraction(k, 97)], 3) for c, k in planes])
+
+
+POSETS = dict(fixed_posets())
+
+
+def check_meet(poset, ids):
+    comps = intersect_layers([poset.elements[i] for i in ids])
+    assert poset.meet(ids) == sorted(poset.index_of(c) for c in comps)
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_meet_equals_intersect_layers_on_every_subset(name):
+    poset = POSETS[name]
+    ids = range(len(poset.elements))
+    for k in range(1, len(ids) + 1):
+        for sub in itertools.combinations(ids, k):
+            check_meet(poset, sub)
+
+
+def test_meet_needs_an_element():
+    with pytest.raises(ValueError):
+        POSETS["cube"].meet([])
+
+
+CHARACTERS = {
+    n: [c for c in itertools.product(range(-2, 3), repeat=n) if gcd(*c) == 1 and c > (0,) * n]
+    for n in (2, 3)
+}
+
+
+@st.composite
+def arrangements(draw):
+    """One to three hypersurfaces {chi = k/97} of the rank-2 or rank-3 torus,
+    with primitive characters chi of entries in [-2, 2]."""
+    n = draw(st.sampled_from(sorted(CHARACTERS)))
+    chars = draw(st.lists(st.sampled_from(CHARACTERS[n]), min_size=1, max_size=3, unique=True))
+    ks = draw(st.lists(st.integers(0, 96), min_size=len(chars), max_size=len(chars)))
+    return [layer([chi], [Fraction(k, 97)], n) for chi, k in zip(chars, ks)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrangement=arrangements(), data=st.data())
+def test_meet_equals_intersect_layers_on_random_arrangements(arrangement, data):
+    poset = build_layer_poset(arrangement)
+    ids = range(len(poset.elements))
+    for _ in range(4):
+        check_meet(poset, data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5, unique=True)))
+
+
+def test_below_masks_read_the_inclusion_table():
+    for poset in POSETS.values():
+        for j in range(len(poset.elements)):
+            want = [i for i in range(len(poset.elements)) if poset.inclusion[i][j]]
+            assert [i for i in range(len(poset.elements)) if poset.below[j] >> i & 1] == want
+            assert poset.components(poset.below[j]) == [j]

@@ -32,3 +32,16 @@ def test_fans_does_not_import_fractions():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
     ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m and m.split(".")[0] == "fractions"]
+
+
+def test_only_layers_intersects_layers():
+    # building, present and oracle read intersections off the poset's table
+    banned = {"intersect_layers", "layer_inclusion"}
+    for name in ("building.py", "present.py", "oracle.py"):
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        used = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        assert used, name
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not banned & used, name

@@ -4,7 +4,9 @@ exhaustive references in `_oracles`.
 The walks must give what the loops over every member subset gave: the same
 well-connectedness verdicts and failure tuples, the same minimal empty sets
 (the F0 groups), the same nested sets; the closure must give the same poset
-elements and inclusion table as passes over every pair.
+elements and inclusion table as passes over every pair.  The bitmask walk
+and the table lookups must give what the walk carrying component layers and
+layer inclusion gave.
 """
 
 import functools
@@ -19,22 +21,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    antichains_reference,
     f0_reference,
+    minimal_containing_reference,
     nested_plus_reference,
     nested_reference,
     poset_closure_reference,
     well_connected_reference,
 )
 from wondertoric.building import (
+    antichains,
     building_set,
     is_nested,
+    minimal_containing,
     nested_plus_sets,
     validate_well_connected,
 )
 from wondertoric.cli import main
 from wondertoric.fans import fan
 from wondertoric.jobs import job_building, job_poset, load_job
-from wondertoric.layers import build_layer_poset, layer
+from wondertoric.layers import (
+    build_layer_poset,
+    closure_nonempty_with_orbit,
+    intersect_layers,
+    layer,
+    torus,
+)
 from wondertoric.present import _minimal_empty, nested_set
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -93,6 +105,38 @@ def check_f0(f, b, nested):
     assert _minimal_empty(b, nested, f) == f0_reference(f, b, nested)
 
 
+def check_antichains(b, f, nested=None):
+    """The bitmask walk over the members against the walk carrying component
+    layers; with a nested set, both start from the intersection of its
+    members and keep what meets the orbit of its rays: the layer walk drops
+    the other components at every step, the bitmask walk starts without the
+    elements that miss the orbit."""
+    poset = b.poset
+    start, start_layers, keep_layer = -1, None, None
+    if nested is not None:
+        t = [b.members[p] for p in nested.members]
+        start_layers = intersect_layers([torus(f.rank)] + [poset.elements[i] for i in t])
+        keep_layer = lambda k: closure_nonempty_with_orbit(k, nested.rays, f)
+        start = sum(1 << k for k, e in enumerate(poset.elements) if keep_layer(e))
+        for i in t:
+            start &= poset.below[i]
+    got = [
+        (sub, poset.components(mask))
+        for sub, mask in antichains(b.members, poset, start)
+    ]
+    want = [
+        (sub, sorted(poset.index_of(c) for c in comps))
+        for sub, comps in antichains_reference(b.members, poset, start_layers, keep_layer)
+    ]
+    assert got == want
+
+
+def check_minimal_containing(candidates, poset):
+    for k, lam in enumerate(poset.elements):
+        got = minimal_containing(candidates, poset, k)
+        assert got == minimal_containing_reference(candidates, poset, lam)
+
+
 def check_nested_border(b, f, listed):
     """`listed` is the nested+ family of (positions, rays): every listed pair
     passes the reference, the family is closed under subsets, and a
@@ -148,6 +192,25 @@ def test_minimal_empty_sets_match_reference(name):
         pairs = pairs[:12] + pairs[-12:]
     for t, r in pairs:
         check_f0(f, b, nested_set(t, r))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_mask_walk_matches_layer_walk(name):
+    f, _, b = CASES[name]
+    check_antichains(b, f)
+    pairs = nested_plus_sets(b, f)
+    if len(pairs) > 24:
+        pairs = pairs[:12] + pairs[-12:]
+    for t, r in pairs:
+        check_antichains(b, f, nested_set(t, r))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_minimal_containing_matches_reference(name):
+    _, _, b = CASES[name]
+    check_minimal_containing(b.members, b.poset)
+    for ids in subsets(range(min(len(b.poset.elements), 8))):
+        check_minimal_containing(ids, b.poset)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -229,3 +292,18 @@ def test_random_arrangements_match_references(arrangement, data):
     check_nested_border(b, P1XP1, pairs)
     check_f0(P1XP1, b, nested_set())
     check_f0(P1XP1, b, nested_set(*data.draw(st.sampled_from(pairs))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrangement=arrangements(), data=st.data())
+def test_mask_walk_and_lookups_match_layer_forms(arrangement, data):
+    b = building_set(build_layer_poset(arrangement))
+    check_antichains(b, P1XP1)
+    ids = range(len(b.poset.elements))
+    for _ in range(3):
+        check_minimal_containing(data.draw(st.lists(st.sampled_from(ids), unique=True)), b.poset)
+    if b.size > 12:  # the layer walk intersects at every step
+        return
+    pairs = nested_plus_sets(b, P1XP1)
+    for _ in range(3):
+        check_antichains(b, P1XP1, nested_set(*data.draw(st.sampled_from(pairs))))
