@@ -5,13 +5,22 @@ Exit codes: 0 everything passed, 1 a mathematical validation failed, 2 the
 input was malformed (job schema, flags), 3 the subdivision search ran out
 of budget.  Output is byte-identical across runs for identical input; the
 WONDER_SEED environment variable is recorded in search artifacts.
+
+One process may serve many requests through main().  It keeps the last
+model it validated (poset, building set and the Model with its base ring
+and Chern lifts), keyed by the job's fan, layers and building selector, so
+requests on one model, such as the strata of a sweep, build it once.  JSON
+documents are rendered by dumps(), which gives the bytes of
+json.dumps(indent=2, sort_keys=True) without its pure-Python encoder.
 """
 
 import argparse
+import collections
 import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .building import is_nested, is_nested_plus, nested_plus_sets
 from .errors import BudgetExhausted, SchemaError, WonderError
@@ -61,6 +70,32 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     return x
+
+
+def dumps(x):
+    """json.dumps(x, indent=2, sort_keys=True), built with str.join."""
+    return _dumps(x, "\n")
+
+
+def _dumps(x, nl):
+    # nl: a newline and the indent of the line that x ends on
+    if type(x) is int:
+        return str(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    inner = nl + "  "
+    if isinstance(x, dict) and x:
+        # json writes an int, float, bool or None key as its dumps, quoted
+        items = (
+            "%s: %s" % (encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)),
+                        _dumps(v, inner))
+            for k, v in sorted(x.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(x, (list, tuple)) and x:
+        items = (_dumps(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(x)  # None, bools, floats, empty containers
 
 
 def _vec(v):
@@ -219,7 +254,7 @@ def _nested_verdict(f, building, pair):
 
 
 def cmd_nested(job, args):
-    building = job_building(job, job_poset(job))
+    building = _building(job)
     pairs = nested_plus_sets(building, job.fan)
     nested_list = [list(t) for t, r in pairs if not r]
     plus_list = [{"members": list(t), "rays": list(r)} for t, r in pairs]
@@ -232,10 +267,28 @@ def cmd_nested(job, args):
     return doc, True
 
 
+# what identifies a job's model; job_poset and job_building read it like a Job
+_ModelKey = collections.namedtuple("ModelKey", "fan layers building")
+
+
+@functools.lru_cache(maxsize=1)  # the last model's; a raised error is not kept
+def _kept_building(key):
+    return job_building(key, job_poset(key))
+
+
+@functools.lru_cache(maxsize=1)  # a second step: stratum schema errors come first
+def _kept_model(key):
+    return validated_model(key.fan, _kept_building(key), building_checked=True)
+
+
+def _building(job):
+    """The job's building set: building_set() checks the members."""
+    return _kept_building(_ModelKey(job.fan, job.layers, job.building))
+
+
 def _model(job):
     """The job's Model: building_set() checks the members, then the fan."""
-    building = job_building(job, job_poset(job))
-    return validated_model(job.fan, building, building_checked=True)
+    return _kept_model(_ModelKey(job.fan, job.layers, job.building))
 
 
 def cmd_present(job, args):
@@ -256,7 +309,7 @@ def _nested_from(job, args):
 
 
 def cmd_stratum(job, args):
-    building = job_building(job, job_poset(job))
+    building = _building(job)
     members, rays = _nested_from(job, args)
     for p in members:
         if not 0 <= p < building.size:
@@ -264,8 +317,7 @@ def cmd_stratum(job, args):
     for r in rays:
         if not 0 <= r < len(job.fan.rays):
             raise SchemaError("nested ray index out of range: %d" % r)
-    model = validated_model(job.fan, building, building_checked=True)
-    pres = stratum_ideal(model, nested_set(members, rays))
+    pres = stratum_ideal(_model(job), nested_set(members, rays))
     return presentation_to_dict(pres, args.max_degree), True
 
 
@@ -347,7 +399,7 @@ def _text_for(command, doc):
         ]
         return "\n".join(lines) + "\n"
     # validate / goodfan: one line per report entry, stable key order
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dumps(doc) + "\n"
 
 
 @functools.lru_cache(maxsize=1)  # parse_args does not change the parser
@@ -396,7 +448,7 @@ def main(argv=None):
             args.output = job.output
         doc, ok = HANDLERS[args.command](job, args)
         if args.format == "json":
-            payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            payload = dumps(doc) + "\n"
         else:
             payload = _text_for(args.command, doc)
         _emit(payload, args.output)

@@ -180,19 +180,27 @@ def build_layer_poset(arrangement):
             raise NotSplit("layer lattice is not saturated: %r" % (l.gamma.basis,))
     pool = list(dict.fromkeys(arrangement))
     seen = set(pool)
+    inside = []  # (a, b): pool[a] lies in pool[b], a != b
     k = 1
     while k < len(pool):  # semi-naive: each element meets each earlier one once
         for j in range(k):
-            for comp in intersect_layers([pool[j], pool[k]]):
+            comps = intersect_layers([pool[j], pool[k]])
+            # a is in b exactly when a meets b in a alone
+            if comps == [pool[j]]:
+                inside.append((j, k))
+            elif comps == [pool[k]]:
+                inside.append((k, j))
+            for comp in comps:
                 if comp not in seen:
                     seen.add(comp)
                     pool.append(comp)
         k += 1
-    elements = tuple(sorted(pool, key=lambda l: l.sort_key()))
-    incl = tuple(
-        tuple(layer_inclusion(a, b) for b in elements) for a in elements
-    )
-    return LayerPoset(elements, incl)
+    order = sorted(range(len(pool)), key=lambda i: pool[i].sort_key())
+    at = {i: r for r, i in enumerate(order)}
+    incl = [[a == b for b in order] for a in order]
+    for a, b in inside:
+        incl[at[a]][at[b]] = True
+    return LayerPoset(tuple(pool[i] for i in order), tuple(map(tuple, incl)))
 
 
 def closure_nonempty_with_orbit(lay, cone, f):

@@ -10,8 +10,9 @@ relations for rays whose divisor misses the stratum.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .building import (
     BuildingSet,
@@ -99,10 +100,20 @@ def check_model_preconditions(f, building):
 @dataclass(frozen=True)
 class Model:
     """A fan and an ordered building set that passed the model preconditions
-    in validated_model.  Functions that take a Model check nothing again."""
+    in validated_model.  Functions that take a Model check nothing again.
+
+    A Model also keeps what every presentation of it shares: the base ring,
+    built on first use, and the Chern lifts, one per pair (G, M).  Reuse one
+    Model for many presentations."""
 
     fan: object
     building: BuildingSet
+    lifts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @functools.cached_property
+    def base(self):
+        """The cohomology ring of the fan's toric variety (danilov_ring)."""
+        return danilov_ring(self.fan)
 
 
 def validated_model(f, building, *, building_checked=False):
@@ -152,8 +163,12 @@ def _minimal_empty(building, nested, f):
     return [a for _, a in empty if not any(set(b) < set(a) for _, b in empty)]
 
 
-def _assemble(f, building, nested, lift_rel):
-    base = danilov_ring(f)
+def _assemble(model, nested, lift_rel):
+    """Relation groups of a model or stratum.  Lifts go through the Model's
+    memo; a caller's lift_rel gets a fresh one, so it sees every pair."""
+    f, building, base = model.fan, model.building, model.base
+    lifts = model.lifts if lift_rel is None else {}  # (G, M) -> lift, once each
+    lift_rel = lift_rel or lift_chern_relative
     m = building.size
     nc = len(f.rays)
     nvars = nc + m
@@ -165,7 +180,6 @@ def _assemble(f, building, nested, lift_rel):
         return {e + (0,) * m: c for e, c in p.items()}
 
     groups = []
-    lifts = {}  # (G, M) -> lift_rel(G, M, base, f): each distinct pair once
 
     for s in minimal_nonfaces(f):
         e = [0] * nvars
@@ -264,8 +278,7 @@ def _assemble(f, building, nested, lift_rel):
 
 def model_ideal(model, *, lift_rel=None):
     """Presentation of the cohomology of the compactified model."""
-    lift = lift_rel or lift_chern_relative
-    base, ring, groups = _assemble(model.fan, model.building, nested_set(), lift)
+    base, ring, groups = _assemble(model, nested_set(), lift_rel)
     return ModelPresentation(model.fan, model.building, base, ring, groups)
 
 
@@ -282,8 +295,7 @@ def stratum_ideal(model, nested, *, lift_rel=None):
     ids = [building.members[p] for p in nested.members]
     if not is_nested_plus(ids, nested.rays, building, f):
         raise NotNested("set is not nested: %r" % (nested,))
-    lift = lift_rel or lift_chern_relative
-    base, ring, groups = _assemble(f, building, nested, lift)
+    base, ring, groups = _assemble(model, nested, lift_rel)
     return StratumPresentation(f, building, base, ring, groups, nested)
 
 

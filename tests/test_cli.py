@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wondertoric
 from wondertoric import building, cli, fans, jobs, oracle, present
@@ -237,10 +239,15 @@ def test_each_command_validates_the_model_once(
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     argv = [command, "--input", golden_path(stem + ".job.json")]
+    clear_caches()  # cold: no model kept from an earlier request
     assert run_to_bytes(argv, tmp_path)[0] == 0
     assert calls["check_model_preconditions"] == 0
     assert calls["validate_building"] == calls["validate_well_connected"] == 1
     assert calls["check_good_fan"] == calls["validate_good"] == int(runs_good)
+    # warm: an identical request reuses the kept model and validates nothing
+    calls.clear()
+    assert run_to_bytes(argv, tmp_path)[0] == 0
+    assert sum(calls.values()) == 0
 
 
 def package_caches():
@@ -252,6 +259,21 @@ def package_caches():
             if callable(fn) and hasattr(fn, "cache_info"):
                 found[id(fn)] = fn
     return list(found.values())
+
+
+def clear_caches():
+    for fn in package_caches():
+        fn.cache_clear()
+
+
+def run_captured(argv, tmp_path, capsys):
+    """(exit code, stdout, stderr, output file bytes or None) of one request."""
+    out = tmp_path / "out"
+    if out.exists():
+        out.unlink()
+    code = main(argv + ["--output", str(out)])
+    std = capsys.readouterr()
+    return code, std.out, std.err, out.read_bytes() if out.exists() else None
 
 
 def signed_permuted_job(stem, tmp_path):
@@ -270,6 +292,9 @@ COLD_WARM = [
     ("check", "p1xp1_coordinate", []),
     ("betti", "skew_good", []),
     ("stratum", "p1xp1_stratum", []),
+    ("stratum", "p1xp1_coordinate", ["--nested", '{"members": [1], "rays": [0]}']),
+    ("stratum", "p1xp1_coordinate", ["--nested", '{"members": [], "rays": [1, 3]}']),
+    ("validate", "p2_diagonal", ["--format", "text"]),
     ("goodfan", "p2_diagonal", ["--search"]),
     ("goodfan", "skew_plain", ["--search"]),
 ]
@@ -282,21 +307,14 @@ def test_cold_and_warm_caches_give_identical_runs(tmp_path, capsys):
         "_find_equal_sign_basis", "cone_face_compat",
     }
 
-    def run(argv):
-        out = tmp_path / "out"
-        if out.exists():
-            out.unlink()
-        code = main(argv + ["--output", str(out)])
-        std = capsys.readouterr()
-        return code, std.out, std.err, out.read_bytes() if out.exists() else None
+    run = lambda argv: run_captured(argv, tmp_path, capsys)
 
     def argv_of(command, stem, extra):
         return [command, "--input", golden_path(stem + ".job.json")] + extra
 
     cold = []
     for spec in COLD_WARM:
-        for fn in caches:
-            fn.cache_clear()
+        clear_caches()
         cold.append(run(argv_of(*spec)))
     # other requests in between, two of them on signed-permuted coordinates
     for stem in ("p1_one_point", "p1_three_points", "skew_good"):
@@ -308,6 +326,68 @@ def test_cold_and_warm_caches_give_identical_runs(tmp_path, capsys):
     for fn in caches:
         info = fn.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, fn.__name__
+
+
+def test_errors_repeat_under_a_warm_context(tmp_path, capsys):
+    # the plain fan is not good for the skew curves; a member out of range
+    # is a schema error, found before the fan is checked
+    job = golden_path("skew_plain.job.json")
+    check = ["check", "--input", job]
+    stratum = ["stratum", "--input", job, "--nested", '{"members": [9], "rays": []}']
+    cold = []
+    for argv in (stratum, check):
+        clear_caches()
+        cold.append(run_captured(argv, tmp_path, capsys))
+    assert [c[0] for c in cold] == [2, 1]
+    assert "out of range" in cold[0][2] and "not good" in cold[1][2]
+    warm = [run_captured(argv, tmp_path, capsys) for argv in (stratum, check) * 3]
+    assert warm == cold * 3
+
+
+def test_every_stratum_of_a_model_warm_equals_cold(tmp_path, capsys):
+    with open(golden_path("p1xp1_coordinate.nested.json")) as fh:
+        sets = json.load(fh)["nested_plus"]
+    assert len(sets) == 18
+    argvs = [
+        ["stratum", "--input", golden_path("p1xp1_coordinate.job.json"), "--nested", json.dumps(s)]
+        for s in sets
+    ]
+    cold = []
+    for argv in argvs:
+        clear_caches()
+        cold.append(run_captured(argv, tmp_path, capsys))
+    assert all(c[0] == 0 and c[3] for c in cold)
+    assert [run_captured(argv, tmp_path, capsys) for argv in argvs] == cold
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.text()
+    | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001f600'),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers())
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=json_values)
+def test_dumps_equals_json_dumps(x):
+    assert cli.dumps(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(GOLDEN) if n.endswith(".json")))
+def test_dumps_equals_json_dumps_on_goldens(name):
+    with open(golden_path(name)) as fh:
+        doc = json.load(fh)
+    assert cli.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_parser_is_built_once_across_calls(monkeypatch, capsys):

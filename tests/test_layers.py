@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import layer_phi_reference, value_on_reference
+from _oracles import layer_phi_reference, poset_closure_reference, value_on_reference
 from wondertoric.errors import NotSplit
 from wondertoric.fans import fan
 from wondertoric.jobs import job_poset, load_job
@@ -237,6 +237,16 @@ def test_meet_equals_intersect_layers_on_random_arrangements(arrangement, data):
     ids = range(len(poset.elements))
     for _ in range(4):
         check_meet(poset, data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5, unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangement=arrangements())
+def test_inclusion_table_equals_the_reference_on_random_arrangements(arrangement):
+    # the table comes from the closure's pairwise intersections; the
+    # reference asks layer_inclusion of every ordered pair
+    got, want = build_layer_poset(arrangement), poset_closure_reference(arrangement)
+    assert got.elements == want.elements
+    assert got.inclusion == want.inclusion
 
 
 def test_below_masks_read_the_inclusion_table():

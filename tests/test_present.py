@@ -27,8 +27,11 @@ from wondertoric.present import (
     assemble_stratum_ideal,
     hilbert_function,
     ideal_equal_up_to,
+    model_ideal,
     nested_set,
     presentation_to_dict,
+    stratum_ideal,
+    validated_model,
 )
 
 P1 = fan(1, ((1,), (-1,)), ((0,), (1,)))
@@ -205,6 +208,52 @@ def test_lifting_choice_independence():
     perturbed = assemble_model_ideal(P1XP1, b, lift_rel=perturbing_lift)
     assert standard.groups != perturbed.groups
     assert ideal_equal_up_to(standard, perturbed, 3)
+
+
+def counting_lift(seen):
+    def lift(g, mlayer, ring, f):
+        seen.append((g, mlayer))
+        return lift_chern_relative(g, mlayer, ring, f)
+
+    return lift
+
+
+def test_a_model_lifts_each_pair_once_across_presentations():
+    model = validated_model(P1XP1, three_member_building())
+    first = model_ideal(model)
+    pairs = dict(model.lifts)
+    base = model.base
+    assert pairs and first.base is base
+    strat = stratum_ideal(model, nested_set(members=[0]))
+    again = model_ideal(model)
+    # the stratum lifts no pair the model had not already lifted
+    assert model.lifts == pairs and all(model.lifts[k] is v for k, v in pairs.items())
+    assert strat.base is again.base is base
+    assert again.groups == first.groups
+    cold = assemble_stratum_ideal(P1XP1, three_member_building(), nested_set(members=[0]))
+    assert strat.groups == cold.groups
+
+
+def test_a_caller_lift_sees_every_pair_after_a_warm_model():
+    model = validated_model(P1XP1, three_member_building())
+    model_ideal(model)
+    kept = dict(model.lifts)
+    seen = []
+    hooked = model_ideal(model, lift_rel=counting_lift(seen))
+    assert sorted(seen, key=repr) == sorted(kept, key=repr)  # each pair once
+    # and its lifts stay out of the Model's memo
+    perturbed = model_ideal(model, lift_rel=perturbing_lift)
+    assert model.lifts == kept
+    assert perturbed.groups != hooked.groups == model_ideal(model).groups
+
+
+def test_the_lift_memo_is_not_a_constructor_argument():
+    model = validated_model(P1XP1, three_member_building())
+    with pytest.raises(TypeError):
+        type(model)(model.fan, model.building, lifts={})
+    model_ideal(model)
+    fresh = type(model)(model.fan, model.building)
+    assert fresh == model and fresh.lifts == {}
 
 
 def test_json_document():

@@ -45,3 +45,18 @@ def test_only_layers_intersects_layers():
         used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not banned & used, name
+
+
+def test_no_indented_json_dumps_in_the_package():
+    # json.dumps(indent=...) runs the pure-Python encoder; cli.dumps renders
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("dumps", "dump") and any(k.arg == "indent" for k in node.keywords):
+                found.append("%s:%d" % (os.path.basename(path), node.lineno))
+    assert found == []
