@@ -11,10 +11,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantViolated, NoBasis, NotContained
-from .fans import equal_sign_check, find_equal_sign_basis, pairing
-from .cohomology import GradedRing, RingElement, padd, pconst, pmul
+from .fans import COEFF_ORDER, find_equal_sign_basis, one_signed, pairing
+from .cohomology import GradedRing, padd, pconst, pmul
 from .lattice import adapted_basis
-from .layers import layer_inclusion
+from .layers import layer_inclusion, torus
 
 
 def divisor_class_raw(beta, f, nvars):
@@ -70,72 +70,62 @@ def make_lifted(factors, ring):
     return LiftedChernPoly(ring, tuple(ring.normal_form(c) for c in coeffs))
 
 
-def equal_sign_adapted_basis(f, g_lat, m_lat, bound=2):
+def equal_sign_adapted_basis(f, g_lat, m_lat):
     """Equal-sign basis of g_lat whose first k vectors span m_lat.
 
     The m part comes from the plain equal-sign search; the completion is the
-    HNF-adapted one, each vector corrected by small multiples of the m part
-    (and a sign) when it fails the sign condition.  Raises NoBasis when no
-    correction within the bound works.
+    HNF-adapted one, each vector corrected by a sign and by combinations of
+    the m part with coefficients in COEFF_ORDER when it fails the sign
+    condition.  Raises NoBasis when no such correction works.
     """
     if m_lat.rank == 0:
-        basis = find_equal_sign_basis(f, g_lat, bound)
+        basis = find_equal_sign_basis(f, g_lat)
         if basis is None:
             raise NoBasis("no equal-sign basis for the layer lattice")
         return basis, 0
-    m_basis = find_equal_sign_basis(f, m_lat, bound)
+    m_basis = find_equal_sign_basis(f, m_lat)
     if m_basis is None:
         raise NoBasis("no equal-sign basis for the larger layer's lattice")
     ab = adapted_basis(g_lat, m_lat)
     k = ab.split_index
     corrected = []
-    pool = [0]
-    for v in range(1, bound + 1):
-        pool += [v, -v]
     for w in ab.vectors[k:]:
-        found = None
-        for sign in (1, -1):
-            for combo in itertools.product(pool, repeat=k):
-                cand = tuple(
-                    sign * w[j] + sum(c * row[j] for c, row in zip(combo, m_lat.basis))
-                    for j in range(len(w))
-                )
-                if equal_sign_check(f, [cand]).ok:
-                    found = cand
-                    break
-            if found:
-                break
+        cands = (
+            tuple(
+                sign * w[j] + sum(c * row[j] for c, row in zip(combo, m_lat.basis))
+                for j in range(len(w))
+            )
+            for sign in (1, -1)
+            for combo in itertools.product(COEFF_ORDER, repeat=k)
+        )
+        found = next((cand for cand in cands if one_signed(f, cand)), None)
         if found is None:
             raise NoBasis("no equal-sign completion within correction bound")
         corrected.append(found)
     return tuple(m_basis) + tuple(corrected), k
 
 
-def lift_chern_absolute(G, ring, f, bound=2):
+def lift_chern_absolute(G, ring, f):
     """Monic degree-codim(G) polynomial lifting the Chern polynomial of the
     normal bundle of the closure of G; constant term is the dual class."""
-    basis = find_equal_sign_basis(f, G.gamma, bound)
-    if basis is None:
-        raise NoBasis("no equal-sign basis for the layer lattice")
-    factors = [divisor_class_raw(b, f, ring.nvars) for b in basis]
-    return make_lifted(factors, ring)
+    return lift_chern_relative(G, torus(G.ambient_rank), ring, f)
 
 
-def lift_chern_relative(G, M, ring, f, bound=2):
+def lift_chern_relative(G, M, ring, f):
     """Relative version for a pair G inside M; degree codim(G) - codim(M)."""
     if not layer_inclusion(G, M):
         raise NotContained("relative lifting needs nested layers")
-    basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma, bound)
+    basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma)
     factors = [divisor_class_raw(b, f, ring.nvars) for b in basis[k:]]
     return make_lifted(factors, ring)
 
 
-def lift_chern_pair(G, M, ring, f, bound=2):
+def lift_chern_pair(G, M, ring, f):
     """(P_G, P_M, P_G_rel) computed from one shared adapted basis, so the
     factorization P_G = P_M * P_G_rel holds on the nose."""
     if not layer_inclusion(G, M):
         raise NotContained("relative lifting needs nested layers")
-    basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma, bound)
+    basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma)
     factors = [divisor_class_raw(b, f, ring.nvars) for b in basis]
     p_g = make_lifted(factors, ring)
     p_m = make_lifted(factors[:k], ring)

@@ -2,9 +2,10 @@
 and verification workflows over JSON job files.
 
 Exit codes: 0 everything passed, 1 a mathematical validation failed, 2 the
-input was malformed (job schema, flags), 3 the subdivision search ran out
-of budget.  Output is byte-identical across runs for identical input; the
-WONDER_SEED environment variable is recorded in search artifacts.
+input was malformed (job schema, flags, an unwritable output), 3 the
+subdivision search ran out of budget.  Output is byte-identical across runs
+for identical input; the WONDER_SEED environment variable is recorded in
+search artifacts.
 
 One process may serve many requests through main().  It keeps the last
 model it validated (poset, building set and the Model with its base ring
@@ -32,7 +33,7 @@ from .fans import (
     validate_good,
     validate_smooth,
 )
-from .jobs import job_building, job_poset, load_job, parse_nested, read_seed
+from .jobs import check_option, job_building, job_poset, load_job, parse_nested, read_seed
 from .layers import format_qz, layer_to_dict
 from .oracle import betti_of, verify
 from .present import (
@@ -211,16 +212,10 @@ def cmd_validate(job, args):
     failures = []
     for fl in rep.failures:
         entry = {"kind": fl[0], "detail": _jsonable(list(fl[1:]))}
-        if fl[0] == "no_equal_sign_basis":
-            idx = fl[1]
-            viol = first_equal_sign_violation(f, lats[idx])
-            if viol is not None:
-                cone, chi, face = viol
-                entry["layer"] = idx
-                entry["cone"] = list(cone)
-                entry["cone_rays"] = [list(f.rays[i]) for i in cone]
-                entry["character"] = list(chi)
-                entry["face"] = list(face)
+        if fl[0] == "no_equal_sign_basis":  # so a canonical row is mixed somewhere
+            cone, chi, face = first_equal_sign_violation(f, lats[fl[1]])
+            entry.update(layer=fl[1], cone=list(cone), cone_rays=[list(f.rays[i]) for i in cone],
+                         character=list(chi), face=list(face))
         failures.append(entry)
     doc["good"] = {"ok": rep.ok, "failures": failures}
     ok = ok and rep.ok
@@ -427,8 +422,11 @@ def _parser():
 
 def _emit(payload, output):
     if output:
-        with open(output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise SchemaError("cannot write output: %s" % exc)
     else:
         sys.stdout.write(payload)
 
@@ -439,6 +437,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        for key in ("max_degree", "budget", "jobs"):  # flags follow the job schema
+            if getattr(args, key) is not None:
+                check_option(key, getattr(args, key))
         job = load_job(args.input)
         if args.max_degree is None:
             args.max_degree = job.max_degree

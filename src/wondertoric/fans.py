@@ -26,6 +26,10 @@ from .lattice import (
 # benchmark workload by 5-6%.
 FAN_CACHE_SIZE = 32
 
+# Coefficients of the candidate characters of an equal-sign basis, in search
+# order, so small combinations of the canonical basis come first.
+COEFF_ORDER = (0, 1, -1, 2, -2)
+
 
 @dataclass(frozen=True)
 class Report:
@@ -48,9 +52,6 @@ class Fan:
     rank: int
     rays: tuple  # tuple of primitive int vectors
     max_cones: tuple  # tuple of strictly increasing ray-index tuples
-
-    def ray(self, i):
-        return self.rays[i]
 
 
 def fan(rank, rays, max_cones):
@@ -267,39 +268,49 @@ def cone_face_compat(f, lat):
     return Report(not bad, tuple(bad))
 
 
+def _ray_values(f, chi):
+    """Pairings of the character chi with the rays of f, in ray order."""
+    return [sum(a * b for a, b in zip(chi, r)) for r in f.rays]
+
+
+def _mixed(vals, cone):
+    """True when the ray values on the cone take both signs."""
+    return any(vals[i] > 0 for i in cone) and any(vals[i] < 0 for i in cone)
+
+
+def one_signed(f, chi):
+    """True when chi pairs with the rays of every max cone using one sign."""
+    vals = _ray_values(f, chi)
+    return not any(_mixed(vals, c) for c in f.max_cones)
+
+
 def equal_sign_check(f, basis):
     """Each basis character must pair with the rays of any single cone using
     one sign only (the sign may differ between cones and characters)."""
-    bad = []
-    for c in f.max_cones:
-        for bi, chi in enumerate(basis):
-            vals = [pairing(chi, f.rays[i]) for i in c]
-            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-                bad.append(("mixed_signs", c, bi))
-    return Report(not bad, tuple(bad))
-
-
-def find_equal_sign_basis(f, lat, bound=2):
-    """Search a basis of lat that passes equal_sign_check, or return None.
-
-    Candidates are integer combinations of the canonical basis with
-    coefficients in [0, 1, -1, ..., bound, -bound], enumerated in product
-    order, so simple coordinate characters are found first.  A unimodular
-    subset of the surviving candidates is then picked greedily.
-    """
-    return _find_equal_sign_basis(f, lat, int(bound))
+    values = [_ray_values(f, chi) for chi in basis]
+    bad = tuple(
+        ("mixed_signs", c, bi)
+        for c in f.max_cones
+        for bi, vals in enumerate(values)
+        if _mixed(vals, c)
+    )
+    return Report(not bad, bad)
 
 
 @functools.lru_cache(maxsize=FAN_CACHE_SIZE)
-def _find_equal_sign_basis(f, lat, bound):
+def find_equal_sign_basis(f, lat):
+    """Search a basis of lat that passes equal_sign_check, or return None.
+
+    Candidates are integer combinations of the canonical basis with
+    coefficients in COEFF_ORDER, enumerated in product order, so simple
+    coordinate characters are found first.  A unimodular subset of the
+    one-signed candidates is then picked greedily.
+    """
     s = lat.rank
     if s == 0:
         return ()
-    coeff_pool = [0]
-    for v in range(1, bound + 1):
-        coeff_pool += [v, -v]
     candidates = []
-    for combo in itertools.product(coeff_pool, repeat=s):
+    for combo in itertools.product(COEFF_ORDER, repeat=s):
         combo = combo[::-1]  # vary the first basis coefficient fastest
         if math.gcd(*combo) != 1:
             continue
@@ -307,7 +318,7 @@ def _find_equal_sign_basis(f, lat, bound):
             sum(c * row[j] for c, row in zip(combo, lat.basis))
             for j in range(lat.ambient_rank)
         )
-        if equal_sign_check(f, [chi]).ok:
+        if one_signed(f, chi):
             candidates.append((combo, chi))
     for subset in itertools.combinations(range(len(candidates)), s):
         mat = [list(candidates[i][0]) for i in subset]
@@ -322,21 +333,14 @@ def validate_good(f, lattices):
     arrangement sublattice."""
     reports = [validate_smooth(f), validate_complete(f)]
     for idx, lat in enumerate(lattices):
-        cand = find_equal_sign_basis(f, lat)
-        if cand is None:
-            reports.append(Report(False, (("no_equal_sign_basis", idx),)))
-            compat = cone_face_compat(f, lat)
-            if not compat.ok:
-                reports.append(Report(False, tuple(("lattice", idx) + fl for fl in compat.failures)))
-            continue
-        es = equal_sign_check(f, cand)
-        if not es.ok:
-            reports.append(Report(False, tuple(("lattice", idx) + fl for fl in es.failures)))
+        found = find_equal_sign_basis(f, lat) is not None
         compat = cone_face_compat(f, lat)
+        if found and not compat.ok:  # equal-sign success forces compatibility
+            raise InvariantViolated("lattice %d: equal signs, faces incompatible" % idx)
+        if not found:
+            reports.append(Report(False, (("no_equal_sign_basis", idx),)))
         if not compat.ok:
             reports.append(Report(False, tuple(("lattice", idx) + fl for fl in compat.failures)))
-        if es.ok and not compat.ok:  # equal-sign success forces compatibility
-            raise InvariantViolated("lattice %d: equal signs, faces incompatible" % idx)
     return merge_reports(*reports)
 
 
@@ -447,14 +451,13 @@ def canonicalize(f):
 
 
 def first_equal_sign_violation(f, lat):
-    """Deterministic pick of a (cone, character) violation for the canonical
-    basis of lat, or None when every cone is fine."""
+    """Deterministic pick of a (cone, character, face) violation for the
+    canonical basis of lat, or None when every cone is fine."""
+    values = [_ray_values(f, chi) for chi in lat.basis]
     for c in f.max_cones:
-        for chi in lat.basis:
-            vals = [pairing(chi, f.rays[i]) for i in c]
-            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-                face = tuple(i for i, v in zip(c, vals) if v != 0)
-                return c, chi, face
+        for chi, vals in zip(lat.basis, values):
+            if _mixed(vals, c):
+                return c, chi, tuple(i for i in c if vals[i])
     return None
 
 
@@ -476,14 +479,8 @@ def search_good_fan(f, lattices, budget=64):
             if find_equal_sign_basis(current, lat) is not None:
                 done.add(idx)
             else:
+                # each canonical row is a candidate, so one is mixed somewhere
                 pending = first_equal_sign_violation(current, lat)
-                if pending is None:
-                    # no single-character repair target; subdivide the first
-                    # cone paired nontrivially with the lattice
-                    for c in current.max_cones:
-                        if any(pairing(chi, current.rays[i]) for chi in lat.basis for i in c):
-                            pending = (c, lat.basis[0], c)
-                            break
                 break
         if pending is None:
             return current, steps

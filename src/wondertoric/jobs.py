@@ -21,6 +21,7 @@ DEFAULT_BUDGET = 64
 _TOP_KEYS = {"rank", "fan", "layers", "building", "nested", "options"}
 _OPTION_KEYS = {"max_degree", "budget", "jobs", "output"}
 _NESTED_KEYS = {"members", "rays"}
+_OPTION_LEAST = {"max_degree": 0, "budget": 0, "jobs": 1}  # least accepted value
 
 
 def read_seed():
@@ -56,6 +57,15 @@ def _int_list(value, what):
     for x in value:
         _expect(isinstance(x, int) and not isinstance(x, bool), "%s entries must be integers", what)
     return tuple(value)
+
+
+def check_option(key, value):
+    """Return value if it is an integer the option accepts, else raise
+    SchemaError.  The command line flags of the same names use it too."""
+    least = _OPTION_LEAST[key]
+    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+            "%s must be a %s integer", key, "positive" if least else "nonnegative")
+    return value
 
 
 def parse_nested(obj):
@@ -111,15 +121,11 @@ def job_from_dict(doc):
     _expect(not extra, "unknown option keys: %s", sorted(extra))
     max_degree = options.get("max_degree")
     if max_degree is not None:
-        _expect(isinstance(max_degree, int) and not isinstance(max_degree, bool) and max_degree >= 0,
-                "max_degree must be a nonnegative integer")
-    budget = options.get("budget", DEFAULT_BUDGET)
-    _expect(isinstance(budget, int) and not isinstance(budget, bool) and budget >= 0,
-            "budget must be a nonnegative integer")
+        check_option("max_degree", max_degree)
+    budget = check_option("budget", options.get("budget", DEFAULT_BUDGET))
     jobs = options.get("jobs")
     if jobs is not None:
-        _expect(isinstance(jobs, int) and not isinstance(jobs, bool) and jobs >= 1,
-                "jobs must be a positive integer")
+        check_option("jobs", jobs)
     output = options.get("output")
     if output is not None:
         _expect(isinstance(output, str), "output must be a path string")

@@ -8,11 +8,14 @@ searches and the poset closure go through every subset and every pair, and
 intersections go through the lattice arithmetic of `intersect_layers` rather
 than the poset's inclusion table.
 The Q/Z, simplex and cone-coordinate kernels are kept here in their
-fractions.Fraction form, and the greedy fan search without its record of
-lattices already repaired.
+fractions.Fraction form, the greedy fan search without its record of
+lattices already repaired, and the equal-sign searches in the form that
+pairs a character with every ray of every cone and builds a Report per
+candidate.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from wondertoric.cohomology import (
@@ -23,7 +26,7 @@ from wondertoric.cohomology import (
     pmul_mono,
     psplit,
 )
-from wondertoric.errors import BudgetExhausted
+from wondertoric.errors import BudgetExhausted, NoBasis
 from wondertoric.fans import (
     Report,
     find_equal_sign_basis,
@@ -33,6 +36,7 @@ from wondertoric.fans import (
     stellar_subdivide,
 )
 from wondertoric.lattice import (
+    adapted_basis,
     hermite_normal_form,
     kernel_basis,
     qz,
@@ -501,3 +505,89 @@ def search_good_fan_reference(f, lattices, budget=64):
         total = [sum(current.rays[i][j] for i in face) for j in range(current.rank)]
         current = stellar_subdivide(current, face, primitive(total))
         steps += 1
+
+
+def equal_sign_check_reference(f, basis):
+    """fans.equal_sign_check pairing each character with every ray of
+    every cone."""
+    bad = []
+    for c in f.max_cones:
+        for bi, chi in enumerate(basis):
+            vals = [pairing(chi, f.rays[i]) for i in c]
+            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+                bad.append(("mixed_signs", c, bi))
+    return Report(not bad, tuple(bad))
+
+
+def find_equal_sign_basis_reference(f, lat, bound=2):
+    """fans.find_equal_sign_basis with coefficients in [0, 1, -1, ...,
+    bound, -bound], one Report per candidate."""
+    s = lat.rank
+    if s == 0:
+        return ()
+    coeff_pool = [0]
+    for v in range(1, bound + 1):
+        coeff_pool += [v, -v]
+    candidates = []
+    for combo in itertools.product(coeff_pool, repeat=s):
+        combo = combo[::-1]
+        if math.gcd(*combo) != 1:
+            continue
+        chi = tuple(
+            sum(c * row[j] for c, row in zip(combo, lat.basis))
+            for j in range(lat.ambient_rank)
+        )
+        if equal_sign_check_reference(f, [chi]).ok:
+            candidates.append((combo, chi))
+    for subset in itertools.combinations(range(len(candidates)), s):
+        mat = [list(candidates[i][0]) for i in subset]
+        h = hermite_normal_form(mat)
+        if len(h) == s and all(h[i][i] == 1 for i in range(s)):
+            return tuple(candidates[i][1] for i in subset)
+    return None
+
+
+def first_equal_sign_violation_reference(f, lat):
+    """fans.first_equal_sign_violation pairing per cone and character."""
+    for c in f.max_cones:
+        for chi in lat.basis:
+            vals = [pairing(chi, f.rays[i]) for i in c]
+            if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+                face = tuple(i for i, v in zip(c, vals) if v != 0)
+                return c, chi, face
+    return None
+
+
+def equal_sign_adapted_basis_reference(f, g_lat, m_lat, bound=2):
+    """chern.equal_sign_adapted_basis over the reference searches."""
+    if m_lat.rank == 0:
+        basis = find_equal_sign_basis_reference(f, g_lat, bound)
+        if basis is None:
+            raise NoBasis("no equal-sign basis for the layer lattice")
+        return basis, 0
+    m_basis = find_equal_sign_basis_reference(f, m_lat, bound)
+    if m_basis is None:
+        raise NoBasis("no equal-sign basis for the larger layer's lattice")
+    ab = adapted_basis(g_lat, m_lat)
+    k = ab.split_index
+    corrected = []
+    pool = [0]
+    for v in range(1, bound + 1):
+        pool += [v, -v]
+    for w in ab.vectors[k:]:
+        found = None
+        for sign in (1, -1):
+            for combo in itertools.product(pool, repeat=k):
+                cand = tuple(
+                    sign * w[j] + sum(c * row[j] for c, row in zip(combo, m_lat.basis))
+                    for j in range(len(w))
+                )
+                if equal_sign_check_reference(f, [cand]).ok:
+                    found = cand
+                    break
+            if found:
+                break
+        if found is None:
+            raise NoBasis("no equal-sign completion within correction bound")
+        corrected.append(found)
+    return tuple(m_basis) + tuple(corrected), k

@@ -160,6 +160,41 @@ def test_max_degree_flag(tmp_path):
     assert json.load(open(out))["hilbert"] == [1, 3, 1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("flag, key, value", [
+    ("--max-degree", "max_degree", -1),
+    ("--budget", "budget", -1),
+    ("--jobs", "jobs", 0),
+])
+def test_flags_are_checked_like_job_options(flag, key, value, tmp_path, capsys):
+    job = golden_path("skew_good.job.json")  # already good: no subdivision
+    argv = ["goodfan", "--search", "--input", job]
+    assert main(argv + [flag, str(value)]) == 2
+    via_flag = capsys.readouterr()
+    doc = json.load(open(job))
+    doc["options"] = {key: value}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main(["goodfan", "--search", "--input", str(path)]) == 2
+    via_job = capsys.readouterr()
+    assert via_flag.out == via_job.out == ""
+    assert via_flag.err == via_job.err == "schema error: %s must be a %s integer\n" % (
+        key, "positive" if key == "jobs" else "nonnegative")
+    # the least accepted value still runs
+    assert main(argv + [flag, str(value + 1), "--output", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_is_a_schema_error(where, tmp_path, capsys):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    code = main(["betti", "--input", golden_path("skew_good.job.json"), "--output", str(out)])
+    assert code == 2
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err.startswith("schema error: cannot write output: ")
+    assert str(out) in std.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_fan_json_round_trip_is_bit_exact():
     for stem in ("p1_one_point", "p1xp1_coordinate", "skew_good", "p2_diagonal"):
         doc = json.load(open(golden_path(stem + ".job.json")))["fan"]
@@ -304,7 +339,7 @@ def test_cold_and_warm_caches_give_identical_runs(tmp_path, capsys):
     caches = package_caches()
     assert {fn.__name__ for fn in caches} >= {
         "_solve_in_lattice", "saturate", "_torsion_frame",
-        "_find_equal_sign_basis", "cone_face_compat",
+        "find_equal_sign_basis", "cone_face_compat",
     }
 
     run = lambda argv: run_captured(argv, tmp_path, capsys)

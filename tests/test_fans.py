@@ -8,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    equal_sign_adapted_basis_reference,
+    equal_sign_check_reference,
     feasible_nonneg_reference,
+    find_equal_sign_basis_reference,
+    first_equal_sign_violation_reference,
     relint_coords_reference,
     search_good_fan_reference,
 )
-from wondertoric import fans
-from wondertoric.errors import BudgetExhausted, MalformedFan, NotCompatible, RayNotInterior
+from wondertoric.chern import equal_sign_adapted_basis
+from wondertoric.errors import BudgetExhausted, MalformedFan, NoBasis, NotCompatible, RayNotInterior
 from wondertoric.fans import (
     canonicalize,
     cone_face_compat,
@@ -23,7 +27,10 @@ from wondertoric.fans import (
     fan_to_dict,
     feasible_nonneg,
     find_equal_sign_basis,
+    first_equal_sign_violation,
     induced_fan,
+    one_signed,
+    primitive,
     relint_coords,
     search_good_fan,
     stellar_subdivide,
@@ -31,7 +38,7 @@ from wondertoric.fans import (
     validate_good,
     validate_smooth,
 )
-from wondertoric.lattice import span_rows, sublattice
+from wondertoric.lattice import saturate, span_rows, sublattice
 from wondertoric.layers import build_layer_poset, layer
 
 P1 = fan(1, [(1,), (-1,)], [(0,), (1,)])
@@ -289,20 +296,103 @@ def fan_lattices(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(pair=fan_lattices(), bound=st.integers(1, 2))
-def test_cached_fan_kernels_equal_their_bodies(pair, bound):
+@given(pair=fan_lattices())
+def test_cached_fan_kernels_equal_their_bodies(pair):
     f, L = pair
-    want_basis = fans._find_equal_sign_basis.__wrapped__(f, L, bound)
+    want_basis = find_equal_sign_basis.__wrapped__(f, L)
     want_compat = cone_face_compat.__wrapped__(f, L)
     for _ in range(2):  # cold, then warm
-        assert find_equal_sign_basis(f, L, bound) == want_basis
+        assert find_equal_sign_basis(f, L) == want_basis
         assert cone_face_compat(f, L) == want_compat
-    assert find_equal_sign_basis(f, L) == fans._find_equal_sign_basis.__wrapped__(f, L, 2)
     # a fan rebuilt from lists is the same key
     same = fan(f.rank, [list(r) for r in f.rays], [list(c) for c in f.max_cones])
-    assert find_equal_sign_basis(same, L, bound) == want_basis
+    assert find_equal_sign_basis(same, L) == want_basis
     assert cone_face_compat(same, L) == want_compat
     hash((want_basis, want_compat))  # shared values are immutable
+
+
+# --- the one-pass sign test against the per-cone pairings --------------------
+
+
+@st.composite
+def subdivided_fans(draw):
+    """A fan of FANS after up to two stellar subdivisions, each at a positive
+    combination (coefficients 1 or 2) of the rays of a nonzero face."""
+    f = draw(st.sampled_from(FANS))
+    for _ in range(draw(st.integers(0, 2))):
+        face = draw(st.sampled_from([c for c in faces(f) if c]))
+        lams = draw(st.lists(st.integers(1, 2), min_size=len(face), max_size=len(face)))
+        ray = primitive([sum(l * f.rays[i][j] for l, i in zip(lams, face)) for j in range(f.rank)])
+        if ray not in f.rays:
+            f = stellar_subdivide(f, face, ray)
+    return f
+
+
+def independent_rows(draw, n, min_rows=0, entry=3):
+    row = st.lists(st.integers(-entry, entry), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=min(min_rows, n), max_size=n))
+    span = span_rows(rows, n)
+    return rows if span.rank == len(rows) else [list(r) for r in span.basis]
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=subdivided_fans(), data=st.data())
+def test_sign_searches_equal_the_per_cone_references(f, data):
+    L = sublattice(independent_rows(data.draw, f.rank), f.rank)
+    chars = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=f.rank, max_size=f.rank), max_size=3))
+    for basis in (chars, L.basis):
+        assert equal_sign_check(f, basis) == equal_sign_check_reference(f, basis)
+        for chi in basis:
+            assert one_signed(f, chi) is equal_sign_check_reference(f, [chi]).ok
+    found = find_equal_sign_basis(f, L)
+    assert found == find_equal_sign_basis_reference(f, L, 2)
+    violation = first_equal_sign_violation(f, L)
+    assert violation == first_equal_sign_violation_reference(f, L)
+    # the search's canonical-row candidates: no basis means a mixed row
+    if found is None:
+        assert violation is not None
+
+
+def adapted_outcome(search, f, g, m):
+    try:
+        return search(f, g, m)
+    except NoBasis as exc:
+        return ("no_basis", str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=subdivided_fans(), data=st.data())
+def test_adapted_basis_equals_the_per_cone_reference(f, data):
+    # saturated m inside saturated g: saturations of a span and of a sub-span;
+    # small entries, so that the m part often has an equal-sign basis and the
+    # completion search runs
+    rows = independent_rows(data.draw, f.rank, min_rows=2, entry=1)
+    k = data.draw(st.integers(0, len(rows)))
+    g = saturate(sublattice(rows, f.rank))
+    m = saturate(sublattice(rows[:k], f.rank))
+    got = adapted_outcome(equal_sign_adapted_basis, f, g, m)
+    assert got == adapted_outcome(equal_sign_adapted_basis_reference, f, g, m)
+
+
+def test_adapted_basis_completions_equal_the_per_cone_reference():
+    # every rank-2 g spanned by two rows in {-1, 0, 1}^n over a rank-1 m:
+    # the pairs where the completion search runs, found or not
+    outcomes = set()
+    for f in FANS:
+        vecs = [v for v in itertools.product((-1, 0, 1), repeat=f.rank) if any(v)]
+        for r1, r2 in itertools.product(vecs, repeat=2):
+            span = span_rows([r1, r2], f.rank)
+            if span.rank < 2:
+                continue
+            g, m = saturate(span), saturate(sublattice([r1], f.rank))
+            got = adapted_outcome(equal_sign_adapted_basis, f, g, m)
+            assert got == adapted_outcome(equal_sign_adapted_basis_reference, f, g, m)
+            outcomes.add(got[1])  # k of a found basis, else the NoBasis message
+    assert outcomes == {
+        1,
+        "no equal-sign basis for the larger layer's lattice",
+        "no equal-sign completion within correction bound",
+    }
 
 
 # --- the integer cone kernels against their Fraction forms -------------------

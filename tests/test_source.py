@@ -60,3 +60,19 @@ def test_no_indented_json_dumps_in_the_package():
             if name in ("dumps", "dump") and any(k.arg == "indent" for k in node.keywords):
                 found.append("%s:%d" % (os.path.basename(path), node.lineno))
     assert found == []
+
+
+def test_one_coefficient_order_and_no_bound_knob():
+    # the equal-sign searches share fans.COEFF_ORDER; nothing widens it
+    params, assigned = [], []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        name = os.path.basename(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg) and node.arg == "bound":
+                params.append("%s:%d" % (name, node.lineno))
+            if isinstance(node, ast.Name) and node.id == "COEFF_ORDER" and isinstance(node.ctx, ast.Store):
+                assigned.append(name)
+    assert params == []
+    assert assigned == ["fans.py"]
