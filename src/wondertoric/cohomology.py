@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolated, NotValidated
 from .fans import induced_fan, rays_in_kernel, validate_complete, validate_smooth
-from .lattice import elementary_divisors, xgcd
+from .lattice import RowEchelon, hermite_normal_form, kernel_basis, solve_in_lattice
 
 # ---------------------------------------------------------------------------
 # polynomial helpers
@@ -97,91 +96,6 @@ def canon_terms(a):
 
 def from_terms(terms):
     return {tuple(e): int(c) for e, c in terms if c}
-
-
-# ---------------------------------------------------------------------------
-# incremental integer row echelon
-
-
-class RowEchelon:
-    """Integer row-echelon accumulator over a fixed number of columns.
-
-    Rows can be inserted one at a time; the stored rows always span the same
-    lattice as everything inserted.  back_reduce() turns them into the
-    canonical HNF of that lattice.
-    """
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.pivots = {}
-        self._reduced = True
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def insert(self, row):
-        row = list(row)
-        while True:
-            j = next((k for k, x in enumerate(row) if x), None)
-            if j is None:
-                return
-            if j not in self.pivots:
-                if row[j] < 0:
-                    row = [-x for x in row]
-                self.pivots[j] = row
-                self._reduced = False
-                return
-            p = self.pivots[j]
-            if row[j] % p[j] == 0:
-                q = row[j] // p[j]
-                row = [x - q * y for x, y in zip(row, p)]
-            else:
-                g, a, b = xgcd(p[j], row[j])
-                pj, rj = p[j] // g, row[j] // g
-                self.pivots[j] = [a * x + b * y for x, y in zip(p, row)]
-                row = [-rj * x + pj * y for x, y in zip(p, row)]
-                self._reduced = False
-
-    def back_reduce(self):
-        if self._reduced:
-            return
-        cols = sorted(self.pivots)
-        for pos in range(len(cols) - 1, -1, -1):
-            j = cols[pos]
-            for j2 in cols[pos + 1 :]:
-                p2 = self.pivots[j2]
-                q = self.pivots[j][j2] // p2[j2]
-                if q:
-                    self.pivots[j] = [
-                        x - q * y for x, y in zip(self.pivots[j], p2)
-                    ]
-        self._reduced = True
-
-    def hnf_rows(self):
-        self.back_reduce()
-        return [tuple(self.pivots[j]) for j in sorted(self.pivots)]
-
-    def reduce_vector(self, vec):
-        self.back_reduce()
-        v = list(vec)
-        for j in sorted(self.pivots):
-            p = self.pivots[j]
-            q = v[j] // p[j]
-            if q:
-                v = [x - q * y for x, y in zip(v, p)]
-        return v
-
-    def contains(self, vec):
-        return all(x == 0 for x in self.reduce_vector(vec))
-
-    def torsion(self):
-        """Elementary divisors > 1 of the row lattice (torsion of the
-        quotient restricted to the pivot-supported part)."""
-        rows = self.hnf_rows()
-        if all(row[j] == 1 for row, j in zip(rows, sorted(self.pivots))):
-            return ()
-        return tuple(d for d in elementary_divisors(rows) if d != 1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,38 +346,28 @@ def minimal_nonfaces(f):
 
 def toric_elimination(f):
     """Eliminate the variables of the lexicographically first max cone using
-    the degree-1 relations.  Returns (eliminated indices, substitutions)."""
+    the degree-1 relations.  Returns (eliminated indices, substitutions).
+
+    Writing each other ray as r_k = sum_j a_kj ref_j turns the relations
+    sum_r r c_r = 0 into c_ref_j = -sum_k a_kj c_k."""
     if not f.max_cones:
         return (), {}
     ref = min(f.max_cones)
     if not ref:
         return (), {}
-    n = f.rank
-    rest = [i for i in range(len(f.rays)) if i not in set(ref)]
-    # solve A x_ref = -B x_rest with A the ref-ray column matrix
-    A = [[Fraction(f.rays[j][i]) for j in ref] for i in range(n)]
-    B = [[Fraction(f.rays[j][i]) for j in rest] for i in range(n)]
-    aug = [A[i] + B[i] for i in range(n)]
-    for col in range(len(ref)):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                aug[i] = [x - aug[i][col] * y for x, y in zip(aug[i], aug[col])]
-    subst = {}
+    basis = [f.rays[j] for j in ref]
     nvars = len(f.rays)
-    for pos, var in enumerate(ref):
-        p = {}
-        for k, r in enumerate(rest):
-            val = -aug[pos][len(ref) + k]
-            if val.denominator != 1:  # smooth cone: unimodular system
-                raise InvariantViolated("non-integral elimination: %s" % val)
-            if val:
-                e = [0] * nvars
-                e[r] = 1
-                p[tuple(e)] = int(val)
-        subst[var] = p
+    subst = {var: {} for var in ref}
+    for k in range(nvars):
+        if k in ref:
+            continue
+        coords = solve_in_lattice(basis, f.rays[k])
+        if coords is None:  # smooth cone: unimodular system
+            raise InvariantViolated("non-integral elimination: ray %d" % k)
+        e = tuple(int(i == k) for i in range(nvars))
+        for var, a in zip(ref, coords):
+            if a:
+                subst[var][e] = -a
     return tuple(ref), subst
 
 
@@ -562,8 +466,6 @@ def kernel_lattice(rmap, d):
     """HNF basis of the degree-d part of the full kernel lattice: vectors
     over the source's `monomials(d)` whose image lands in the target
     relation span."""
-    from .lattice import hermite_normal_form, kernel_basis
-
     src, tgt = rmap.source, rmap.target
     src_momos = src.monomials(d)
     tgt_momos, tgt_index, tgt_ech = tgt.slice_table(d)

@@ -112,8 +112,20 @@ def fan_to_dict(f):
     }
 
 
+def _check_ints(values, what):
+    """JSON numbers that are not ints (floats, bools) are refused, not cut."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise MalformedFan("%s must be an integer: %r" % (what, x))
+
+
 def fan_from_dict(doc):
     try:
+        _check_ints([doc["rank"]], "fan rank")
+        for r in doc["rays"]:
+            _check_ints(r, "ray entry")
+        for c in doc["max_cones"]:
+            _check_ints(c, "cone index")
         return fan(doc["rank"], doc["rays"], doc["max_cones"])
     except MalformedFan:
         raise
@@ -422,6 +434,8 @@ def stellar_subdivide(f, cone, new_ray):
     if not cone:
         raise RayNotInterior("the zero cone has no interior ray")
     new_ray = tuple(int(x) for x in new_ray)
+    if len(new_ray) != f.rank:
+        raise MalformedFan("ray length does not match rank: %r" % (new_ray,))
     if math.gcd(*new_ray) != 1:
         raise MalformedFan("new ray not primitive: %r" % (new_ray,))
     if new_ray in f.rays:
@@ -435,10 +449,14 @@ def stellar_subdivide(f, cone, new_ray):
     for c in f.max_cones:
         if set(cone) <= set(c):
             for drop in cone:
-                cones.append(tuple(sorted([i for i in c if i != drop] + [star])))
+                sc = tuple(sorted([i for i in c if i != drop] + [star]))
+                if len(hermite_normal_form([rays[i] for i in sc])) != len(sc):
+                    raise InvariantViolated("star cone not simplicial: %r" % (sc,))
+                cones.append(sc)
         else:
             cones.append(c)
-    return fan(f.rank, rays, cones)
+    # the parent is a validated fan and only the star's cones are new
+    return Fan(f.rank, rays, tuple(cones))
 
 
 def canonicalize(f):

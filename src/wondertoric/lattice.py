@@ -5,7 +5,8 @@ floats.  Q/Z values are int numerators reduced mod one exact common
 denominator (never mod a prime or other modulus) and become fractions.Fraction
 only where they are returned.  Matrices are lists or tuples of equal-length
 integer rows.  All functions are pure and all returned matrices are tuples of
-tuples, safe to hash and share.
+tuples, safe to hash and share.  The one mutable object is RowEchelon, the
+incremental echelon behind every Hermite form and lattice solve.
 
 The kernels whose inputs repeat within one request (solve_in_lattice,
 saturate, torsion_frame) are memoised by value; what they return is
@@ -70,62 +71,100 @@ def is_zero_row(row):
     return all(x == 0 for x in row)
 
 
-def hermite_normal_form(mat, *, transform=False):
+class RowEchelon:
+    """Integer row-echelon accumulator over a fixed number of columns: the
+    package's one echelon engine.
+
+    Rows can be inserted one at a time; the stored rows always span the same
+    lattice as everything inserted.  back_reduce() turns them into the
+    canonical HNF of that lattice.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivots = {}
+        self._reduced = True
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def insert(self, row):
+        row = list(row)
+        while True:
+            j = next((k for k, x in enumerate(row) if x), None)
+            if j is None:
+                return
+            if j not in self.pivots:
+                if row[j] < 0:
+                    row = [-x for x in row]
+                self.pivots[j] = row
+                self._reduced = False
+                return
+            p = self.pivots[j]
+            if row[j] % p[j] == 0:
+                q = row[j] // p[j]
+                row = [x - q * y for x, y in zip(row, p)]
+            else:
+                g, a, b = xgcd(p[j], row[j])
+                pj, rj = p[j] // g, row[j] // g
+                self.pivots[j] = [a * x + b * y for x, y in zip(p, row)]
+                row = [-rj * x + pj * y for x, y in zip(p, row)]
+                self._reduced = False
+
+    def back_reduce(self):
+        if self._reduced:
+            return
+        cols = sorted(self.pivots)
+        for pos in range(len(cols) - 1, -1, -1):
+            j = cols[pos]
+            for j2 in cols[pos + 1 :]:
+                p2 = self.pivots[j2]
+                q = self.pivots[j][j2] // p2[j2]
+                if q:
+                    self.pivots[j] = [
+                        x - q * y for x, y in zip(self.pivots[j], p2)
+                    ]
+        self._reduced = True
+
+    def hnf_rows(self):
+        self.back_reduce()
+        return [tuple(self.pivots[j]) for j in sorted(self.pivots)]
+
+    def reduce_vector(self, vec):
+        self.back_reduce()
+        v = list(vec)
+        for j in sorted(self.pivots):
+            p = self.pivots[j]
+            q = v[j] // p[j]
+            if q:
+                v = [x - q * y for x, y in zip(v, p)]
+        return v
+
+    def contains(self, vec):
+        return all(x == 0 for x in self.reduce_vector(vec))
+
+    def torsion(self):
+        """Elementary divisors > 1 of the row lattice (torsion of the
+        quotient restricted to the pivot-supported part)."""
+        rows = self.hnf_rows()
+        if all(row[j] == 1 for row, j in zip(rows, sorted(self.pivots))):
+            return ()
+        return tuple(d for d in elementary_divisors(rows) if d != 1)
+
+
+def hermite_normal_form(mat):
     """Row-style Hermite normal form of an integer matrix.
 
     Returns H, the canonical basis of the row lattice: pivot columns strictly
     increase, pivots are positive, entries above a pivot are reduced into
-    [0, pivot).  Zero rows are dropped.  With transform=True also returns a
-    unimodular U with U * mat == [H; zero rows].
+    [0, pivot).  Zero rows are dropped.
     """
-    a = [list(map(int, row)) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = identity(m) if transform else None
-    r = 0
-    for j in range(n):
-        # gather a pivot for column j among rows r..m-1
-        piv = None
-        for i in range(r, m):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        for i in range(piv + 1, m):
-            if a[i][j] == 0:
-                continue
-            g, x, y = xgcd(a[piv][j], a[i][j])
-            p, q = a[piv][j] // g, a[i][j] // g
-            # unimodular 2x2 op: new piv row spans gcd, other row cleared
-            a[piv], a[i] = (
-                [x * s + y * t for s, t in zip(a[piv], a[i])],
-                [-q * s + p * t for s, t in zip(a[piv], a[i])],
-            )
-            if transform:
-                u[piv], u[i] = (
-                    [x * s + y * t for s, t in zip(u[piv], u[i])],
-                    [-q * s + p * t for s, t in zip(u[piv], u[i])],
-                )
-        if a[piv][j] < 0:
-            a[piv] = [-x for x in a[piv]]
-            if transform:
-                u[piv] = [-x for x in u[piv]]
-        a[r], a[piv] = a[piv], a[r]
-        if transform:
-            u[r], u[piv] = u[piv], u[r]
-        p = a[r][j]
-        for i in range(r):
-            q = a[i][j] // p
-            if q:
-                a[i] = [s - q * t for s, t in zip(a[i], a[r])]
-                if transform:
-                    u[i] = [s - q * t for s, t in zip(u[i], u[r])]
-        r += 1
-    h = freeze(a[:r])
-    if transform:
-        return h, freeze(u)
-    return h
+    rows = [list(map(int, row)) for row in mat]
+    ech = RowEchelon(len(rows[0]) if rows else 0)
+    for row in rows:
+        ech.insert(row)
+    return tuple(ech.hnf_rows())
 
 
 def smith_normal_form(mat):
@@ -235,29 +274,6 @@ def elementary_divisors(mat):
     return tuple(out)
 
 
-def det(mat):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def kernel_basis(mat, n=None):
     """HNF basis of the integer right kernel {v : mat @ v == 0} as rows."""
     m = len(mat)
@@ -283,21 +299,18 @@ def solve_in_lattice(basis, target):
 def _solve_in_lattice(basis, target):
     if not basis:
         return () if is_zero_row(target) else None
-    h, u = hermite_normal_form(basis, transform=True)
-    if len(h) != len(basis):
+    # echelon of [basis | I]: a pivot in the I block is a dependency, and
+    # reducing [target | 0] leaves [0 | -coords] exactly for members
+    n, k = len(target), len(basis)
+    ech = RowEchelon(n + k)
+    for i, row in enumerate(basis):
+        ech.insert(list(row) + [int(i == j) for j in range(k)])
+    if any(j >= n for j in ech.pivots):
         raise ValueError("basis rows are dependent")
-    t = list(map(int, target))
-    coeffs = [0] * len(h)
-    for i, row in enumerate(h):
-        j = next(k for k, x in enumerate(row) if x)
-        if t[j] % row[j]:
-            return None
-        q = t[j] // row[j]
-        coeffs[i] = q
-        t = [s - q * x for s, x in zip(t, row)]
-    if not is_zero_row(t):
+    v = ech.reduce_vector(list(target) + [0] * k)
+    if any(v[:n]):
         return None
-    return tuple(sum(coeffs[i] * u[i][k] for i in range(len(h))) for k in range(len(basis)))
+    return tuple(-x for x in v[n:])
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,14 @@ def layer_to_dict(lay):
 
 
 def layer_from_dict(doc, ambient_rank):
+    """Layer of a job document; gamma entries must be ints and phi values
+    strings or ints, so no float or bool is silently converted."""
+    for x in (x for row in doc["gamma"] for x in row):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError("gamma entries must be integers: %r" % (x,))
+    for v in doc["phi"]:
+        if not isinstance(v, (int, str)) or isinstance(v, bool):
+            raise ValueError("phi values must be strings or integers: %r" % (v,))
     return layer(doc["gamma"], [parse_qz(s) for s in doc["phi"]], ambient_rank)
 
 

@@ -11,7 +11,9 @@ The Q/Z, simplex and cone-coordinate kernels are kept here in their
 fractions.Fraction form, the greedy fan search without its record of
 lattices already repaired, and the equal-sign searches in the form that
 pairs a character with every ray of every cone and builds a Report per
-candidate.
+candidate.  The Hermite form and the lattice solve are kept as one batch
+elimination with a transform matrix, and the toric elimination as
+Gauss-Jordan over Fractions.
 """
 
 import itertools
@@ -26,7 +28,7 @@ from wondertoric.cohomology import (
     pmul_mono,
     psplit,
 )
-from wondertoric.errors import BudgetExhausted, NoBasis
+from wondertoric.errors import BudgetExhausted, InvariantViolated, NoBasis
 from wondertoric.fans import (
     Report,
     find_equal_sign_basis,
@@ -43,6 +45,7 @@ from wondertoric.lattice import (
     solve_in_lattice,
     sublattice,
     torsion_frame,
+    xgcd,
 )
 from wondertoric.layers import (
     LayerPoset,
@@ -340,6 +343,101 @@ def restriction_kernel_reference(rmap, kernel_gens, max_degree):
         if got != tuple(span.hnf_rows()):
             bad.append(("kernel_mismatch", d))
     return Report(not bad, tuple(bad))
+
+
+# -- batch echelon forms ----------------------------------------------------
+
+
+def hermite_normal_form_reference(mat, *, transform=False):
+    """lattice.hermite_normal_form as one batch elimination by 2x2
+    unimodular row operations; with transform=True also a unimodular U with
+    U * mat == [H; zero rows]."""
+    a = [list(map(int, row)) for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for j in range(n):
+        piv = next((i for i in range(r, m) if a[i][j]), None)
+        if piv is None:
+            continue
+        for i in range(piv + 1, m):
+            if a[i][j] == 0:
+                continue
+            g, x, y = xgcd(a[piv][j], a[i][j])
+            p, q = a[piv][j] // g, a[i][j] // g
+            for mat_ in (a, u):
+                mat_[piv], mat_[i] = (
+                    [x * s + y * t for s, t in zip(mat_[piv], mat_[i])],
+                    [-q * s + p * t for s, t in zip(mat_[piv], mat_[i])],
+                )
+        if a[piv][j] < 0:
+            a[piv] = [-x for x in a[piv]]
+            u[piv] = [-x for x in u[piv]]
+        a[r], a[piv] = a[piv], a[r]
+        u[r], u[piv] = u[piv], u[r]
+        for i in range(r):
+            q = a[i][j] // a[r][j]
+            if q:
+                a[i] = [s - q * t for s, t in zip(a[i], a[r])]
+                u[i] = [s - q * t for s, t in zip(u[i], u[r])]
+        r += 1
+    h = tuple(tuple(row) for row in a[:r])
+    return (h, tuple(tuple(row) for row in u)) if transform else h
+
+
+def solve_in_lattice_reference(basis, target):
+    """lattice.solve_in_lattice through the batch HNF and its transform:
+    divide the target down the HNF rows, then map the coordinates back."""
+    basis = [list(map(int, row)) for row in basis]
+    t = list(map(int, target))
+    if not basis:
+        return () if not any(t) else None
+    h, u = hermite_normal_form_reference(basis, transform=True)
+    if len(h) != len(basis):
+        raise ValueError("basis rows are dependent")
+    coeffs = [0] * len(h)
+    for i, row in enumerate(h):
+        j = next(k for k, x in enumerate(row) if x)
+        if t[j] % row[j]:
+            return None
+        coeffs[i] = t[j] // row[j]
+        t = [s - coeffs[i] * x for s, x in zip(t, row)]
+    if any(t):
+        return None
+    return tuple(sum(coeffs[i] * u[i][k] for i in range(len(h))) for k in range(len(basis)))
+
+
+def toric_elimination_reference(f):
+    """cohomology.toric_elimination by Gauss-Jordan over Fractions on the
+    degree-1 relations, A x_ref = -B x_rest."""
+    if not f.max_cones:
+        return (), {}
+    ref = min(f.max_cones)
+    if not ref:
+        return (), {}
+    n = f.rank
+    rest = [i for i in range(len(f.rays)) if i not in set(ref)]
+    aug = [[Fraction(f.rays[j][i]) for j in list(ref) + rest] for i in range(n)]
+    for col in range(len(ref)):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                aug[i] = [x - aug[i][col] * y for x, y in zip(aug[i], aug[col])]
+    subst = {}
+    nvars = len(f.rays)
+    for pos, var in enumerate(ref):
+        p = {}
+        for k, r in enumerate(rest):
+            val = -aug[pos][len(ref) + k]
+            if val.denominator != 1:
+                raise InvariantViolated("non-integral elimination: %s" % val)
+            if val:
+                p[tuple(int(i == r) for i in range(nvars))] = int(val)
+        subst[var] = p
+    return tuple(ref), subst
 
 
 # -- Fraction forms of the Q/Z and cone kernels ------------------------------

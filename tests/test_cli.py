@@ -183,6 +183,21 @@ def test_flags_are_checked_like_job_options(flag, key, value, tmp_path, capsys):
     assert main(argv + [flag, str(value + 1), "--output", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("command, fan_doc, layer_doc", [
+    ("check", {"rank": 1, "rays": [[1.9], [-1]], "max_cones": [[0], [True]]},
+     {"gamma": [[1.2]], "phi": ["0/1"]}),
+    ("poset", {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+     {"gamma": [[1]], "phi": [0.1]}),
+])
+def test_floats_and_bools_exit_2(command, fan_doc, layer_doc, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"rank": 1, "fan": fan_doc, "layers": [layer_doc]}))
+    assert main([command, "--input", str(path), "--format", "text"]) == 2
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err.startswith("schema error: ")
+
+
 @pytest.mark.parametrize("where", ["directory", "missing_parent"])
 def test_unwritable_output_is_a_schema_error(where, tmp_path, capsys):
     out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"

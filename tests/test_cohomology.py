@@ -1,7 +1,12 @@
+import glob
 import itertools
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import toric_elimination_reference
 from wondertoric.cohomology import (
     canon_terms,
     danilov_ring,
@@ -12,9 +17,11 @@ from wondertoric.cohomology import (
     pvar,
     restriction_kernel_report,
     restriction_map,
+    toric_elimination,
 )
-from wondertoric.errors import NotValidated
-from wondertoric.fans import fan, stellar_subdivide
+from wondertoric.errors import InvariantViolated, NotValidated
+from wondertoric.fans import fan, primitive, stellar_subdivide
+from wondertoric.jobs import load_job
 from wondertoric.lattice import sublattice
 
 P1 = fan(1, [(1,), (-1,)], [(0,), (1,)])
@@ -154,3 +161,55 @@ def test_restriction_identity_and_point():
     assert point.graded_rank(0) == 1 and point.graded_rank(1) == 0
     gens = [pvar(i, 4) for i in range(4)]
     assert restriction_kernel_report(rmap, gens, 2).ok
+
+
+# --- the toric elimination against its Fraction form --------------------------
+
+CUBE = fan(
+    3,
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+)
+GOLDEN_JOBS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "*.job.json")))
+BASE_FANS = [load_job(path).fan for path in GOLDEN_JOBS] + [P1, P1xP1, P2, CUBE]
+BASE_NAMES = [os.path.basename(path)[: -len(".job.json")] for path in GOLDEN_JOBS] + ["P1", "P1xP1", "P2", "CUBE"]
+
+
+def assert_same_elimination(f):
+    try:
+        want = toric_elimination_reference(f)
+    except InvariantViolated:  # a singular first cone
+        with pytest.raises(InvariantViolated):
+            toric_elimination(f)
+        return
+    got = toric_elimination(f)
+    assert got == want
+    # the same insertion orders, so substitution builds the same dicts
+    assert [(v, list(p)) for v, p in got[1].items()] == [(v, list(p)) for v, p in want[1].items()]
+
+
+@pytest.mark.parametrize("f", BASE_FANS, ids=BASE_NAMES)
+def test_toric_elimination_equals_the_fraction_reference(f):
+    assert_same_elimination(f)
+
+
+@st.composite
+def subdivided_fans(draw):
+    """A fan of BASE_FANS after one or two stellar subdivisions, each at a
+    positive combination (coefficients 1 or 2) of the rays of a nonzero face;
+    a coefficient 2 can make a cone singular."""
+    f = draw(st.sampled_from(BASE_FANS))
+    for _ in range(draw(st.integers(1, 2))):
+        faces = sorted({s for c in f.max_cones for k in range(1, len(c) + 1) for s in itertools.combinations(c, k)})
+        face = draw(st.sampled_from(faces))
+        lams = draw(st.lists(st.integers(1, 2), min_size=len(face), max_size=len(face)))
+        ray = primitive([sum(l * f.rays[i][j] for l, i in zip(lams, face)) for j in range(f.rank)])
+        if ray not in f.rays:
+            f = stellar_subdivide(f, face, ray)
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=subdivided_fans())
+def test_toric_elimination_after_subdivisions_equals_the_fraction_reference(f):
+    assert_same_elimination(f)

@@ -66,6 +66,17 @@ def test_load_job_bad_json(tmp_path):
         lambda d: d.update(options={"jobs": 0}),
         lambda d: d.update(options={"nope": 1}),
         lambda d: d.update(fan={"rank": 1, "rays": [[2]], "max_cones": [[0]]}),
+        # floats and bools are refused, not truncated
+        lambda d: d["fan"].update(rank=1.0),
+        lambda d: d["fan"].update(rank=True),
+        lambda d: d["fan"].update(rays=[[1.9], [-1]]),
+        lambda d: d["fan"].update(rays=[[True], [-1]]),
+        lambda d: d["fan"].update(max_cones=[[0], [1.0]]),
+        lambda d: d["fan"].update(max_cones=[[0], [True]]),
+        lambda d: d.update(layers=[{"gamma": [[1.2]], "phi": ["0/1"]}]),
+        lambda d: d.update(layers=[{"gamma": [[True]], "phi": ["0/1"]}]),
+        lambda d: d.update(layers=[{"gamma": [[1]], "phi": [0.1]}]),
+        lambda d: d.update(layers=[{"gamma": [[1]], "phi": [False]}]),
     ],
 )
 def test_schema_rejections(mutate):
@@ -73,6 +84,11 @@ def test_schema_rejections(mutate):
     mutate(doc)
     with pytest.raises(SchemaError):
         job_from_dict(doc)
+
+
+def test_integer_phi_values_are_accepted():
+    doc = dict(P1_DOC, layers=[{"gamma": [[1]], "phi": [0]}])
+    assert job_from_dict(doc) == job_from_dict(P1_DOC)
 
 
 def test_unsaturated_layer_is_semantic_not_schema():

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import solve_torsion_congruences_reference
+from _oracles import (
+    hermite_normal_form_reference,
+    solve_in_lattice_reference,
+    solve_torsion_congruences_reference,
+)
 from wondertoric import lattice
 from wondertoric.errors import NotContained, NotSaturated
 from wondertoric.lattice import (
     AdaptedBasis,
     adapted_basis,
-    det,
     elementary_divisors,
     hermite_normal_form,
     identity,
@@ -32,7 +35,7 @@ from wondertoric.lattice import (
 
 
 def naive_det(mat):
-    # cofactor expansion, independent of the Bareiss implementation
+    # cofactor expansion
     n = len(mat)
     if n == 0:
         return 1
@@ -60,25 +63,6 @@ def minors_gcd(mat, k):
 
 def random_matrix(rng, m, n, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
-
-
-def test_det_matches_cofactor_expansion():
-    rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(0, 4)
-        a = random_matrix(rng, n, n)
-        assert det(a) == naive_det(a)
-
-
-def test_hnf_transform_reconstructs_input():
-    rng = random.Random(1)
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        a = random_matrix(rng, m, n)
-        h, u = hermite_normal_form(a, transform=True)
-        assert abs(det(u)) == 1
-        full = list(h) + [(0,) * n] * (m - len(h))
-        assert mat_mul(u, a) == [list(r) for r in full]
 
 
 def test_hnf_shape_is_canonical():
@@ -120,8 +104,8 @@ def test_snf_reconstruction_and_divisor_chain():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = random_matrix(rng, m, n)
         u, d, v, vinv = smith_normal_form(a)
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
+        assert abs(naive_det(u)) == 1
+        assert abs(naive_det(v)) == 1
         assert mat_mul(v, vinv) == identity(n)
         assert mat_mul(mat_mul(u, a), v) == [list(r) for r in d]
         diag = [d[i][i] for i in range(min(m, n))]
@@ -213,7 +197,7 @@ def test_saturate_against_minor_gcd_characterization():
         assert is_split_summand(sat) == (minors_gcd([list(r) for r in sat.basis], sat.rank) == 1)
         # index of lat in sat: determinant of the coordinate change
         coords = [solve_in_lattice(sat.basis, row) for row in lat.basis]
-        assert abs(det([list(c) for c in coords])) == saturation_index(lat)
+        assert abs(naive_det([list(c) for c in coords])) == saturation_index(lat)
         if saturation_index(lat) == 1:
             assert sat.basis == lat.basis
 
@@ -431,6 +415,50 @@ def test_mutating_inputs_and_results_leaves_the_caches_intact():
     # shared values are immutable
     for value in (frame, coords, saturate(span_rows([[2, 0]], 2))):
         hash(value)
+
+
+# --- the echelon engine against the batch references ------------------------
+
+
+@st.composite
+def echelon_matrices(draw):
+    """Matrices up to 5 x 5 with entries in [-10, 10]; some rows are
+    replaced by zero rows or combinations of earlier rows, and rows may be
+    empty."""
+    n = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-10, 10), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=5))
+    for k in range(1, len(rows)):
+        combo = draw(st.sampled_from([None, (0, 0), (1, -1), (2, 3)]))
+        if combo:
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            rows[k] = [combo[0] * x + combo[1] * y for x, y in zip(rows[i], rows[j])]
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=echelon_matrices())
+def test_hnf_equals_the_batch_reference(mat):
+    rows, _ = mat
+    assert hermite_normal_form(rows) == hermite_normal_form_reference(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=echelon_matrices(), data=st.data())
+def test_solve_in_lattice_equals_the_batch_reference(mat, data):
+    basis, n = mat
+    if basis and data.draw(st.booleans()):  # a lattice vector
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+        target = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n)]
+    else:
+        target = data.draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n))
+    try:
+        want = solve_in_lattice_reference(basis, target)
+    except ValueError:  # dependent rows
+        with pytest.raises(ValueError):
+            solve_in_lattice(basis, target)
+        return
+    assert solve_in_lattice(basis, target) == want
 
 
 # --- the int Q/Z kernel against its Fraction form ----------------------------

@@ -23,15 +23,43 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _parse(name):
+    path = os.path.join(SRC, name)
+    with open(path) as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _imports(tree):
+    """Top-level names of the imported modules, and the names imported."""
+    modules = {
+        alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    } | {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    return modules, names
+
+
 def test_fans_does_not_import_fractions():
     # the cone kernels (simplex, cone coordinates) stay in integers
-    path = os.path.join(SRC, "fans.py")
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    modules = [
-        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
-    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert modules and not [m for m in modules if m and m.split(".")[0] == "fractions"]
+    modules, _ = _imports(_parse("fans.py"))
+    assert modules and "fractions" not in modules
+
+
+def test_one_echelon_engine():
+    # lattice.RowEchelon computes every HNF, lattice solve and elimination
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        tree = _parse(name)
+        modules, names = _imports(tree)
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        if name != "lattice.py":
+            found += ["%s defines %s" % (name, d) for d in sorted(defined & {"RowEchelon", "hermite_normal_form"})]
+            found += ["%s imports xgcd" % name] if "xgcd" in names else []
+        if name == "cohomology.py" and "fractions" in modules:
+            found.append("cohomology imports fractions")
+    assert found == []
 
 
 def test_only_layers_intersects_layers():
