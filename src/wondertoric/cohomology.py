@@ -14,6 +14,10 @@ all monomials is a unit row per non-standard monomial plus the HNF over the
 standard ones, so ranks, torsion and `normal_form` are those of the slice
 over all monomials; `GradedRing.full_hnf_rows` rebuilds that HNF.
 
+Slice rows are sparse {column: coefficient} dicts that `shifted_rows` builds
+from a relation's terms and a shift: each exponent tuple of a slice packs into
+one int, so a shifted term's column is one lookup of a sum of two ints.
+
 Polynomials are dicts mapping exponent tuples (one slot per generator) to
 integer coefficients; `canon_terms` freezes them for storage.
 """
@@ -21,6 +25,7 @@ integer coefficients; `canon_terms` freezes them for storage.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import InvariantViolated, NotValidated
@@ -252,18 +257,35 @@ class GradedRing:
         degree-d relations over those columns)."""
         if d not in self._tables:
             momos = self.standard_monomials(d)
-            index = {e: k for k, e in enumerate(momos)}
             ech = RowEchelon(len(momos))
-            for p, e in self._split_relations()[1]:
-                if e > d:
-                    continue
-                for shift in self.standard_monomials(d - e):
-                    ech.insert(slice_row(pmul_mono(p, shift), index))
-            self._tables[d] = (momos, index, ech)
+            for row in self.shifted_rows(self._split_relations()[1], d):
+                ech.insert(row)
+            self._tables[d] = (momos, {e: k for k, e in enumerate(momos)}, ech)
         return self._tables[d]
 
+    def shifted_rows(self, polys, d):
+        """Sparse rows over the degree-d standard monomials: each (polynomial,
+        degree) pair of degree at most d times each standard monomial lifting
+        it to degree d, with the terms off the standard columns dropped."""
+        # base d + 1: no entry of a degree-d exponent exceeds d, so keys are unique
+        weights = [(d + 1) ** i for i in range(self.nvars)]
+
+        def pack(e):
+            return sum(map(operator.mul, e, weights))
+
+        cols = {pack(e): k for k, e in enumerate(self.standard_monomials(d))}
+        shifts = [[pack(m) for m in self.standard_monomials(d - e)] for e in range(d + 1)]
+        for p, e in polys:
+            if e > d:
+                continue
+            terms = [(pack(m), c) for m, c in p.items()]
+            for shift in shifts[e]:
+                yield {k: c for t, c in terms if (k := cols.get(t + shift)) is not None}
+
     def vector_of(self, p, d):
-        return slice_row(p, self.slice_table(d)[1])
+        """Sparse coefficients of p on the degree-d standard columns."""
+        index = self.slice_table(d)[1]
+        return {index[e]: c for e, c in p.items() if e in index}
 
     def full_hnf_rows(self, d, rows=None):
         """HNF over all of `monomials(d)`: a unit row per non-standard
@@ -308,18 +330,6 @@ class GradedRing:
 
     def graded_torsion(self, d):
         return self.slice_table(d)[2].torsion()
-
-
-def slice_row(p, index):
-    """Coefficients of p on the indexed standard monomials of one slice.  The
-    terms left out are multiples of unit-monomial relations, zero in the
-    ring."""
-    row = [0] * len(index)
-    for e, c in p.items():
-        k = index.get(e)
-        if k is not None:
-            row[k] = c
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +478,14 @@ def kernel_lattice(rmap, d):
     relation span."""
     src, tgt = rmap.source, rmap.target
     src_momos = src.monomials(d)
-    tgt_momos, tgt_index, tgt_ech = tgt.slice_table(d)
-    cols = [
-        slice_row(tgt.substitute(rmap.apply({e: 1})), tgt_index) for e in src_momos
-    ]
+    tgt_momos, _, tgt_ech = tgt.slice_table(d)
+    cols = [tgt.vector_of(tgt.substitute(rmap.apply({e: 1})), d) for e in src_momos]
     rel_rows = tgt_ech.hnf_rows()
     # kernel of [images | -relations] projected onto the source coordinates
     width = len(src_momos) + len(rel_rows)
     mat = []
     for row_idx in range(len(tgt_momos)):
-        row = [col[row_idx] for col in cols]
+        row = [col.get(row_idx, 0) for col in cols]
         row += [-r[row_idx] for r in rel_rows]
         mat.append(row)
     ker = kernel_basis(mat, width)
@@ -488,19 +496,11 @@ def kernel_lattice(rmap, d):
 def ideal_slice(ring, extra_gens, d):
     """HNF over `monomials(d)` of the degree-d span of the ring's relations
     plus extra ideal generators (given as polynomials)."""
-    _, index, ech = ring.slice_table(d)
-    span = RowEchelon(len(index))
-    for row in ech.hnf_rows():
+    ech = ring.slice_table(d)[2]
+    span = RowEchelon(ech.ncols)
+    gens = [(p, pdegree(p)) for p in map(ring.substitute, extra_gens) if p]
+    for row in itertools.chain(ech.hnf_rows(), ring.shifted_rows(gens, d)):
         span.insert(row)
-    for g in extra_gens:
-        p = ring.substitute(g)
-        if not p:
-            continue
-        e = pdegree(p)
-        if e > d:
-            continue
-        for shift in ring.standard_monomials(d - e):
-            span.insert(slice_row(pmul_mono(p, shift), index))
     return tuple(ring.full_hnf_rows(d, span.hnf_rows()))
 
 

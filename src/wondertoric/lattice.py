@@ -51,14 +51,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    n = len(b[0]) if b else 0
-    bt = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -67,17 +59,14 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def is_zero_row(row):
-    return all(x == 0 for x in row)
-
-
 class RowEchelon:
     """Integer row-echelon accumulator over a fixed number of columns: the
     package's one echelon engine.
 
-    Rows can be inserted one at a time; the stored rows always span the same
-    lattice as everything inserted.  back_reduce() turns them into the
-    canonical HNF of that lattice.
+    Rows are stored sparse, as {column: coefficient} dicts of their nonzeros,
+    by head (pivot) column.  The stored rows always span the same lattice as
+    everything inserted; back_reduce() turns them into the canonical HNF of
+    that lattice and never changes a pivot entry.
     """
 
     def __init__(self, ncols):
@@ -90,67 +79,79 @@ class RowEchelon:
         return len(self.pivots)
 
     def insert(self, row):
-        row = list(row)
-        while True:
-            j = next((k for k, x in enumerate(row) if x), None)
-            if j is None:
-                return
-            if j not in self.pivots:
-                if row[j] < 0:
-                    row = [-x for x in row]
-                self.pivots[j] = row
+        """Add a row: a {column: coefficient} mapping or a dense sequence."""
+        row = _sparse(row)
+        while row:
+            j = min(row)
+            p = self.pivots.get(j)
+            if p is None:
+                self.pivots[j] = row if row[j] > 0 else {k: -x for k, x in row.items()}
                 self._reduced = False
                 return
-            p = self.pivots[j]
-            if row[j] % p[j] == 0:
-                q = row[j] // p[j]
-                row = [x - q * y for x, y in zip(row, p)]
-            else:
+            if row[j] % p[j]:
                 g, a, b = xgcd(p[j], row[j])
-                pj, rj = p[j] // g, row[j] // g
-                self.pivots[j] = [a * x + b * y for x, y in zip(p, row)]
-                row = [-rj * x + pj * y for x, y in zip(p, row)]
+                self.pivots[j] = _combination(a, p, b, row)
+                row = _combination(-(row[j] // g), p, p[j] // g, row)
                 self._reduced = False
+            else:
+                _add_multiple(row, -(row[j] // p[j]), p)
+
+    def _reduce(self, row, cols):
+        """Reduce a sparse row in place by the pivot rows of cols, in
+        increasing column order, into [0, pivot) on those columns."""
+        for j in cols:
+            q = row.get(j, 0) // self.pivots[j][j]
+            if q:
+                _add_multiple(row, -q, self.pivots[j])
 
     def back_reduce(self):
         if self._reduced:
             return
         cols = sorted(self.pivots)
-        for pos in range(len(cols) - 1, -1, -1):
-            j = cols[pos]
-            for j2 in cols[pos + 1 :]:
-                p2 = self.pivots[j2]
-                q = self.pivots[j][j2] // p2[j2]
-                if q:
-                    self.pivots[j] = [
-                        x - q * y for x, y in zip(self.pivots[j], p2)
-                    ]
+        for pos in range(len(cols) - 2, -1, -1):
+            self._reduce(self.pivots[cols[pos]], cols[pos + 1 :])
         self._reduced = True
 
     def hnf_rows(self):
+        """The HNF as dense rows of width ncols."""
         self.back_reduce()
-        return [tuple(self.pivots[j]) for j in sorted(self.pivots)]
+        width = range(self.ncols)
+        return [tuple(self.pivots[j].get(k, 0) for k in width) for j in sorted(self.pivots)]
 
     def reduce_vector(self, vec):
+        """The canonical representative of vec modulo the row lattice, as a
+        dense list of width ncols."""
         self.back_reduce()
-        v = list(vec)
-        for j in sorted(self.pivots):
-            p = self.pivots[j]
-            q = v[j] // p[j]
-            if q:
-                v = [x - q * y for x, y in zip(v, p)]
-        return v
-
-    def contains(self, vec):
-        return all(x == 0 for x in self.reduce_vector(vec))
+        v = _sparse(vec)
+        self._reduce(v, sorted(self.pivots))
+        return [v.get(k, 0) for k in range(self.ncols)]
 
     def torsion(self):
         """Elementary divisors > 1 of the row lattice (torsion of the
         quotient restricted to the pivot-supported part)."""
-        rows = self.hnf_rows()
-        if all(row[j] == 1 for row, j in zip(rows, sorted(self.pivots))):
+        if all(p[j] == 1 for j, p in self.pivots.items()):
             return ()
-        return tuple(d for d in elementary_divisors(rows) if d != 1)
+        return tuple(d for d in elementary_divisors(self.hnf_rows()) if d != 1)
+
+
+def _sparse(row):
+    """The nonzeros of a mapping or a dense sequence as a new dict."""
+    return {k: x for k, x in (row.items() if hasattr(row, "items") else enumerate(row)) if x}
+
+
+def _add_multiple(row, q, p):
+    """row += q * p in place on sparse rows, for q != 0."""
+    for k, x in p.items():
+        y = row.get(k, 0) + q * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _combination(a, p, b, r):
+    """a * p + b * r as a new sparse row."""
+    return {k: y for k in p.keys() | r.keys() if (y := a * p.get(k, 0) + b * r.get(k, 0))}
 
 
 def hermite_normal_form(mat):
@@ -160,10 +161,9 @@ def hermite_normal_form(mat):
     increase, pivots are positive, entries above a pivot are reduced into
     [0, pivot).  Zero rows are dropped.
     """
-    rows = [list(map(int, row)) for row in mat]
-    ech = RowEchelon(len(rows[0]) if rows else 0)
-    for row in rows:
-        ech.insert(row)
+    ech = RowEchelon(len(mat[0]) if mat else 0)
+    for row in mat:
+        ech.insert(map(int, row))
     return tuple(ech.hnf_rows())
 
 
@@ -298,7 +298,7 @@ def solve_in_lattice(basis, target):
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _solve_in_lattice(basis, target):
     if not basis:
-        return () if is_zero_row(target) else None
+        return None if any(target) else ()
     # echelon of [basis | I]: a pivot in the I block is a dependency, and
     # reducing [target | 0] leaves [0 | -coords] exactly for members
     n, k = len(target), len(basis)

@@ -13,7 +13,8 @@ lattices already repaired, and the equal-sign searches in the form that
 pairs a character with every ray of every cone and builds a Report per
 candidate.  The Hermite form and the lattice solve are kept as one batch
 elimination with a transform matrix, and the toric elimination as
-Gauss-Jordan over Fractions.
+Gauss-Jordan over Fractions.  The echelon engine is kept in its dense-list
+form, and the all-monomial slice references run on it.
 """
 
 import itertools
@@ -21,7 +22,6 @@ import math
 from fractions import Fraction
 
 from wondertoric.cohomology import (
-    RowEchelon,
     canon_terms,
     from_terms,
     pdegree,
@@ -39,6 +39,7 @@ from wondertoric.fans import (
 )
 from wondertoric.lattice import (
     adapted_basis,
+    elementary_divisors,
     hermite_normal_form,
     kernel_basis,
     qz,
@@ -268,7 +269,7 @@ def full_slice_reference(ring, d):
     complementary degree."""
     momos = ring.monomials(d)
     index = {e: k for k, e in enumerate(momos)}
-    ech = RowEchelon(len(momos))
+    ech = DenseRowEchelon(len(momos))
     for r in ring.substituted_relations():
         p = from_terms(r)
         e = pdegree(p)
@@ -331,7 +332,7 @@ def restriction_kernel_reference(rmap, kernel_gens, max_degree):
         ]
         ker = kernel_basis(mat, len(src_momos) + len(rel_rows))
         got = tuple(hermite_normal_form([row[: len(src_momos)] for row in ker]))
-        span = RowEchelon(len(src_momos))
+        span = DenseRowEchelon(len(src_momos))
         for row in src_ech.hnf_rows():
             span.insert(row)
         for g in kernel_gens:
@@ -345,7 +346,79 @@ def restriction_kernel_reference(rmap, kernel_gens, max_degree):
     return Report(not bad, tuple(bad))
 
 
-# -- batch echelon forms ----------------------------------------------------
+# -- batch and dense echelon forms --------------------------------------------
+
+
+class DenseRowEchelon:
+    """lattice.RowEchelon with every row a dense list of width ncols."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivots = {}
+        self._reduced = True
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def insert(self, row):
+        row = list(row)
+        while True:
+            j = next((k for k, x in enumerate(row) if x), None)
+            if j is None:
+                return
+            if j not in self.pivots:
+                if row[j] < 0:
+                    row = [-x for x in row]
+                self.pivots[j] = row
+                self._reduced = False
+                return
+            p = self.pivots[j]
+            if row[j] % p[j] == 0:
+                q = row[j] // p[j]
+                row = [x - q * y for x, y in zip(row, p)]
+            else:
+                g, a, b = xgcd(p[j], row[j])
+                pj, rj = p[j] // g, row[j] // g
+                self.pivots[j] = [a * x + b * y for x, y in zip(p, row)]
+                row = [-rj * x + pj * y for x, y in zip(p, row)]
+                self._reduced = False
+
+    def back_reduce(self):
+        if self._reduced:
+            return
+        cols = sorted(self.pivots)
+        for pos in range(len(cols) - 1, -1, -1):
+            j = cols[pos]
+            for j2 in cols[pos + 1 :]:
+                p2 = self.pivots[j2]
+                q = self.pivots[j][j2] // p2[j2]
+                if q:
+                    self.pivots[j] = [
+                        x - q * y for x, y in zip(self.pivots[j], p2)
+                    ]
+        self._reduced = True
+
+    def hnf_rows(self):
+        self.back_reduce()
+        return [tuple(self.pivots[j]) for j in sorted(self.pivots)]
+
+    def reduce_vector(self, vec):
+        self.back_reduce()
+        v = list(vec)
+        for j in sorted(self.pivots):
+            p = self.pivots[j]
+            q = v[j] // p[j]
+            if q:
+                v = [x - q * y for x, y in zip(v, p)]
+        return v
+
+    def torsion(self):
+        rows = self.hnf_rows()
+        if all(row[j] == 1 for row, j in zip(rows, sorted(self.pivots))):
+            return ()
+        return tuple(d for d in elementary_divisors(rows) if d != 1)
+
 
 
 def hermite_normal_form_reference(mat, *, transform=False):

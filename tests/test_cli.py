@@ -46,6 +46,8 @@ MATRIX = [
     ("skew_good", "betti", [], "betti.json", 0),
     ("p2_diagonal", "validate", [], "validate.json", 1),
     ("p2_diagonal", "goodfan", ["--search"], "goodfan.json", 0),
+    ("cube_planes", "check", [], "check.json", 0),
+    ("cube_planes", "present", [], "present.json", 0),
 ]
 
 

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    DenseRowEchelon,
     hermite_normal_form_reference,
     solve_in_lattice_reference,
     solve_torsion_congruences_reference,
@@ -15,13 +16,13 @@ from wondertoric import lattice
 from wondertoric.errors import NotContained, NotSaturated
 from wondertoric.lattice import (
     AdaptedBasis,
+    RowEchelon,
     adapted_basis,
     elementary_divisors,
     hermite_normal_form,
     identity,
     is_split_summand,
     kernel_basis,
-    mat_mul,
     qz,
     saturate,
     saturation_index,
@@ -32,6 +33,11 @@ from wondertoric.lattice import (
     sublattice,
     torsion_frame,
 )
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def naive_det(mat):
@@ -459,6 +465,62 @@ def test_solve_in_lattice_equals_the_batch_reference(mat, data):
             solve_in_lattice(basis, target)
         return
     assert solve_in_lattice(basis, target) == want
+
+
+# --- the sparse echelon engine against its dense form --------------------------
+
+
+@st.composite
+def insert_sequences(draw):
+    """(ncols, steps, vectors): each step inserts a row, given dense or as a
+    mapping (zero entries included or not), and may then reduce a vector.
+    Rows may be zero, negated or multiples of earlier ones; heads of 2, 3, 4
+    and 6 make inserts hit pivots they do not divide."""
+    n = draw(st.integers(0, 6))
+    entry = st.sampled_from((-6, -4, -3, -2, -1, 0, 0, 0, 1, 2, 3, 4, 6))
+    vector = st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=8))
+    steps = []
+    for k, row in enumerate(rows):
+        change = draw(st.sampled_from((None, "zero", "negate", "multiple")))
+        if change == "zero":
+            row = [0] * n
+        elif change == "negate":
+            row = [-x for x in row]
+        elif change == "multiple" and k:
+            row = [draw(st.sampled_from((-3, 2, 3))) * x for x in rows[draw(st.integers(0, k - 1))]]
+        form = draw(st.sampled_from(("dense", "mapping", "mapping with zeros")))
+        if form == "mapping":
+            row = {j: x for j, x in enumerate(row) if x}
+        elif form == "mapping with zeros":
+            row = dict(enumerate(row))
+        steps.append((row, draw(st.one_of(st.none(), vector))))
+    return n, steps, draw(st.lists(vector, min_size=1, max_size=3))
+
+
+def assert_same_echelon(sparse, dense, vectors):
+    assert sparse.rank == dense.rank
+    assert sparse.torsion() == dense.torsion()
+    assert sparse.hnf_rows() == dense.hnf_rows()
+    for v in vectors:
+        assert sparse.reduce_vector(v) == dense.reduce_vector(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=insert_sequences())
+@example(seq=(3, [([2, 1, 0], None), ([3, 0, 1], [5, 5, 5]), ([0, 0, 0], None),
+                  ({0: -4, 1: 2, 2: 2}, [1, -7, 3])], [[9, 9, 9]]))
+@example(seq=(2, [([-2, 5], [3, 3]), ({0: 6, 1: 0}, None), ([4, -3], [1, 0]),
+                  ([0, 4], [-9, 9])], [[1, 1]]))
+def test_sparse_echelon_equals_the_dense_form(seq):
+    n, steps, vectors = seq
+    sparse, dense = RowEchelon(n), DenseRowEchelon(n)
+    for row, vec in steps:
+        sparse.insert(row)
+        dense.insert([row.get(j, 0) for j in range(n)] if isinstance(row, dict) else row)
+        if vec is not None:  # query mid-stream: later inserts meet reduced rows
+            assert_same_echelon(sparse, dense, [vec])
+    assert_same_echelon(sparse, dense, vectors)
 
 
 # --- the int Q/Z kernel against its Fraction form ----------------------------

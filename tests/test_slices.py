@@ -182,6 +182,26 @@ def test_non_unit_monomial_relation_stays_a_row():
     check_slices(ring, 3)
 
 
+def test_slices_with_a_surviving_pure_power_match_reference():
+    # x^d is standard in every degree d, so each slice holds an exponent
+    # entry equal to d, the largest digit the packed column keys must carry;
+    # the linear relation gives the degree-1 slice rows, where a smaller
+    # base would give all three variables one key
+    ring = GradedRing(
+        "xyz",
+        [
+            {(1, 0, 0): 2, (0, 1, 0): -1, (0, 0, 1): 3},
+            {(0, 1, 1): 1},
+            {(1, 1, 0): 2},
+            {(2, 0, 0): 1, (1, 0, 1): 3, (0, 0, 2): -1},
+        ],
+    )
+    for d in range(7):
+        assert (d, 0, 0) in ring.standard_monomials(d)
+    ref = check_slices(ring, 6)
+    check_normal_forms(ring, 6, ref)
+
+
 # -- Hypothesis cases ------------------------------------------------------------
 
 
