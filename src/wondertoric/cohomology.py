@@ -122,20 +122,22 @@ class RingElement:
 class GradedRing:
     """Z-algebra on named degree-2 generators modulo homogeneous relations.
 
+    Relations are polynomials or `canon_terms` tuples, kept as they are.
     `eliminate` lists generator indices removed via the degree-1 relations;
     `substitutions` maps each of them to its expression in the surviving
-    generators.  Standard monomials and slice tables are cached per degree.
+    generators.  `substituted`, when the caller has it, is what
+    `substituted_relations` would compute.  Standard monomials and slice
+    tables are cached per degree.
     """
 
-    def __init__(self, names, relations, eliminate=(), substitutions=None, fan=None):
+    def __init__(
+        self, names, relations, eliminate=(), substitutions=None, fan=None, substituted=None
+    ):
         self.names = tuple(names)
         self.nvars = len(self.names)
-        rels = []
-        for r in relations:
-            p = dict(r) if isinstance(r, dict) else from_terms(r)
-            pdegree(p)  # homogeneity check
-            rels.append(canon_terms(p))
-        self.relations = tuple(rels)
+        self.relations = tuple(r if isinstance(r, tuple) else canon_terms(r) for r in relations)
+        for r in self.relations:
+            pdegree(e for e, _ in r)  # homogeneity check
         self.eliminate = tuple(eliminate)
         self.substitutions = {int(v): dict(p) for v, p in (substitutions or {}).items()}
         if set(self.substitutions) != set(self.eliminate):
@@ -145,7 +147,7 @@ class GradedRing:
             )
         self.fan = fan
         self.surviving = tuple(i for i in range(self.nvars) if i not in set(eliminate))
-        self._subbed = None
+        self._subbed = None if substituted is None else tuple(substituted)
         self._split = None
         self._standard = {}
         self._tables = {}
@@ -193,15 +195,14 @@ class GradedRing:
 
     def _split_relations(self):
         """(exponents of the unit-monomial substituted relations, the other
-        substituted relations as (polynomial, degree) pairs)."""
+        substituted relations as (terms, degree) pairs)."""
         if self._split is None:
             units, others = set(), []
             for r in self.substituted_relations():
                 if len(r) == 1 and abs(r[0][1]) == 1:
                     units.add(r[0][0])
                 else:
-                    p = from_terms(r)
-                    others.append((p, pdegree(p)))
+                    others.append((r, pdegree(e for e, _ in r)))
             self._split = (frozenset(units), tuple(others))
         return self._split
 
@@ -264,7 +265,7 @@ class GradedRing:
         return self._tables[d]
 
     def shifted_rows(self, polys, d):
-        """Sparse rows over the degree-d standard monomials: each (polynomial,
+        """Sparse rows over the degree-d standard monomials: each (terms,
         degree) pair of degree at most d times each standard monomial lifting
         it to degree d, with the terms off the standard columns dropped."""
         # base d + 1: no entry of a degree-d exponent exceeds d, so keys are unique
@@ -275,10 +276,10 @@ class GradedRing:
 
         cols = {pack(e): k for k, e in enumerate(self.standard_monomials(d))}
         shifts = [[pack(m) for m in self.standard_monomials(d - e)] for e in range(d + 1)]
-        for p, e in polys:
+        for rel, e in polys:
             if e > d:
                 continue
-            terms = [(pack(m), c) for m, c in p.items()]
+            terms = [(pack(m), c) for m, c in rel]
             for shift in shifts[e]:
                 yield {k: c for t, c in terms if (k := cols.get(t + shift)) is not None}
 
@@ -498,7 +499,7 @@ def ideal_slice(ring, extra_gens, d):
     plus extra ideal generators (given as polynomials)."""
     ech = ring.slice_table(d)[2]
     span = RowEchelon(ech.ncols)
-    gens = [(p, pdegree(p)) for p in map(ring.substitute, extra_gens) if p]
+    gens = [(p.items(), pdegree(p)) for p in map(ring.substitute, extra_gens) if p]
     for row in itertools.chain(ech.hnf_rows(), ring.shifted_rows(gens, d)):
         span.insert(row)
     return tuple(ring.full_hnf_rows(d, span.hnf_rows()))

@@ -4,8 +4,10 @@ The model ring lives on one generator per fan ray plus one generator t_i per
 ordered building-set member.  Four relation families cut it down: the toric
 relations of the base, the annihilators t_i c_r, the lifted Chern relations
 F(i,A), and the monomials F(0,A) for empty intersections.  Strata get the
-same families rebuilt relative to a nested set, plus degree-one c_r
-relations for rays whose divisor misses the stratum.
+same families relative to a nested set, plus degree-one c_r relations for
+rays whose divisor misses the stratum.  Only those c_r relations, the F0
+monomials and the F relations of a member with nested members above it
+depend on the nested set; a Model keeps the rest, substituted, for all.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .building import (
     BuildingSet,
@@ -27,7 +30,6 @@ from .cohomology import (
     GradedRing,
     canon_terms,
     danilov_ring,
-    from_terms,
     minimal_nonfaces,
     padd,
     pdegree,
@@ -67,7 +69,7 @@ class ModelPresentation:
     building: BuildingSet
     base: GradedRing
     ring: GradedRing
-    groups: tuple  # (group name, provenance dict, frozen terms) triples
+    groups: tuple  # (group name, read-only provenance, frozen terms) triples
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,14 @@ class Model:
     in validated_model.  Functions that take a Model check nothing again.
 
     A Model also keeps what every presentation of it shares: the base ring,
-    built on first use, and the Chern lifts, one per pair (G, M).  Reuse one
-    Model for many presentations."""
+    built on first use, the Chern lifts, one per pair (G, M), and the
+    relation groups with their substituted terms, the F groups of member i
+    per nested members above G_i.  Reuse one Model for many presentations."""
 
     fan: object
     building: BuildingSet
     lifts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    assembled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @functools.cached_property
     def base(self):
@@ -163,11 +167,28 @@ def _minimal_empty(building, nested, f):
     return [a for _, a in empty if not any(set(b) < set(a) for _, b in empty)]
 
 
+def _frozen(x):
+    """A read-only copy of a provenance value: dicts as read-only views,
+    lists as tuples, so no caller can change a kept group."""
+    if isinstance(x, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in x.items()})
+    return tuple(map(_frozen, x)) if isinstance(x, list) else x
+
+
+def _plain(x):
+    """The JSON value of a frozen provenance value: a fresh copy."""
+    if isinstance(x, MappingProxyType):
+        return {k: _plain(v) for k, v in x.items()}
+    return [_plain(v) for v in x] if isinstance(x, tuple) else x
+
+
 def _assemble(model, nested, lift_rel):
-    """Relation groups of a model or stratum.  Lifts go through the Model's
-    memo; a caller's lift_rel gets a fresh one, so it sees every pair."""
+    """Relation groups of a model or stratum.  The groups that do not depend
+    on the nested set, and a member's F groups per nested members above it,
+    are built and substituted once per Model, like the lifts; a caller's
+    lift_rel gets fresh memos, so it sees every pair."""
     f, building, base = model.fan, model.building, model.base
-    lifts = model.lifts if lift_rel is None else {}  # (G, M) -> lift, once each
+    memo, lifts = (model.assembled, model.lifts) if lift_rel is None else ({}, {})
     lift_rel = lift_rel or lift_chern_relative
     m = building.size
     nc = len(f.rays)
@@ -179,38 +200,51 @@ def _assemble(model, nested, lift_rel):
     def ext(p):
         return {e + (0,) * m: c for e, c in p.items()}
 
-    groups = []
+    if "ring" not in memo:  # relation-free, on the model generators: substitutes each group
+        names = base.names + tuple("t:%d" % p for p in range(m))
+        subst = {v: ext(p) for v, p in base.substitutions.items()}
+        memo["ring"] = GradedRing(names, (), base.eliminate, subst, fan=f)
+    sub = memo["ring"]
 
-    for s in minimal_nonfaces(f):
+    def mono(*idx):
         e = [0] * nvars
-        for i in s:
+        for i in idx:
             e[i] += 1
-        groups.append(("SR", {"rays": list(s)}, canon_terms({tuple(e): 1})))
-    for i in range(n):
-        p = {}
-        for r in range(nc):
-            if f.rays[r][i]:
-                p = padd(p, pvar(r, nvars, f.rays[r][i]))
-        groups.append(("linear", {"coordinate": i}, canon_terms(p)))
+        return {tuple(e): 1}
 
-    for r in _dead_rays(f, building, nested):
-        groups.append(("stratum_c", {"ray": r}, canon_terms(pvar(r, nvars))))
+    def substituted(groups):  # (name, provenance, poly)s
+        out = []
+        for g, prov, p in groups:
+            t, s = canon_terms(p), canon_terms(sub.substitute(p))
+            out.append(((g, _frozen(prov), t), t if s == t else s))
+        return tuple(out)
 
-    for i in range(m):
-        inside = rays_in_kernel(f, member_layers[i].gamma)
-        for r in range(nc):
-            if r in inside:
-                continue
-            e = [0] * nvars
-            e[r] = 1
-            e[nc + i] = 1
-            groups.append(("tc", {"member": i, "ray": r}, canon_terms({tuple(e): 1})))
+    def kept(key, build, *args):
+        if key not in memo:
+            memo[key] = substituted(build(*args))
+        return memo[key]
 
-    for i in range(m):
+    def shared():
+        for s in minimal_nonfaces(f):
+            yield "SR", {"rays": list(s)}, mono(*s)
+        for i in range(n):
+            p = {}
+            for r in range(nc):
+                if f.rays[r][i]:
+                    p = padd(p, pvar(r, nvars, f.rays[r][i]))
+            yield "linear", {"coordinate": i}, p
+
+    def tc():
+        for i in range(m):
+            inside = rays_in_kernel(f, member_layers[i].gamma)
+            for r in range(nc):
+                if r not in inside:
+                    yield "tc", {"member": i, "ray": r}, mono(r, nc + i)
+
+    def f_groups(i, s_i):
         g_layer, g = member_layers[i], ids[i]
-        # members strictly containing G, all of them and the nested ones
+        # members strictly containing G, all of them; s_i: the nested ones
         supersets = [j for j in range(m) if ids[j] != g and incl[g][ids[j]]]
-        s_i = [p for p in nested.members if ids[p] != g and incl[g][ids[p]]]
         shift = {}
         for h in range(m):
             if incl[ids[h]][g]:
@@ -219,7 +253,7 @@ def _assemble(model, nested, lift_rel):
             for a in itertools.combinations(supersets, size):
                 combo = sorted(set(a) | set(s_i))
                 if not combo:
-                    mlayer = torus(n)
+                    where, mlayer = None, torus(n)  # where: the poset element
                 else:
                     comps = building.poset.meet([ids[j] for j in combo])
                     holding = [k for k in comps if incl[g][k]]
@@ -228,7 +262,8 @@ def _assemble(model, nested, lift_rel):
                             "member %d lies in %d components of %r"
                             % (i, len(holding), combo)
                         )
-                    mlayer = building.poset.elements[holding[0]]
+                    where = holding[0]
+                    mlayer = building.poset.elements[where]
                 if (g_layer, mlayer) not in lifts:
                     lifts[g_layer, mlayer] = lift_rel(g_layer, mlayer, base, f)
                 p = lifts[g_layer, mlayer]
@@ -246,34 +281,27 @@ def _assemble(model, nested, lift_rel):
                         "F(%d, %r) has degree %d, not %d"
                         % (i, list(a), pdegree(poly), want)
                     )
-                groups.append(
-                    (
-                        "F",
-                        {
-                            "member": i,
-                            "others": list(a),
-                            "component": layer_to_dict(mlayer),
-                        },
-                        canon_terms(poly),
-                    )
-                )
+                if ("component", where) not in memo:  # one per layer, shared
+                    memo["component", where] = _frozen(layer_to_dict(mlayer))
+                prov = {"member": i, "others": list(a), "component": memo["component", where]}
+                yield "F", prov, poly
 
-    for a in _minimal_empty(building, nested, f):
-        e = [0] * nvars
-        for j in a:
-            e[nc + j] += 1
-        groups.append(("F0", {"others": list(a)}, canon_terms({tuple(e): 1})))
+    dead = _dead_rays(f, building, nested)
+    pairs = list(kept("shared", shared))
+    pairs += substituted(("stratum_c", {"ray": r}, pvar(r, nvars)) for r in dead)
+    pairs += kept("tc", tc)
+    for i in range(m):
+        s_i = tuple(p for p in nested.members if ids[p] != ids[i] and incl[ids[i]][ids[p]])
+        pairs += kept(("F", i, s_i), f_groups, i, s_i)
+    empty = _minimal_empty(building, nested, f)
+    pairs += substituted(("F0", {"others": list(a)}, mono(*(nc + j for j in a))) for a in empty)
 
-    names = base.names + tuple("t:%d" % p for p in range(m))
-    subst = {v: ext(p) for v, p in base.substitutions.items()}
+    groups = tuple(g for g, _ in pairs)
     ring = GradedRing(
-        names,
-        [from_terms(t) for (_, _, t) in groups],
-        eliminate=base.eliminate,
-        substitutions=subst,
-        fan=f,
+        sub.names, [t for _, _, t in groups], sub.eliminate, sub.substitutions, fan=f,
+        substituted=[s for _, s in pairs if s],
     )
-    return base, ring, tuple(groups)
+    return base, ring, groups
 
 
 def model_ideal(model, *, lift_rel=None):
@@ -364,7 +392,7 @@ def presentation_to_dict(pres, max_degree=None):
         "relations": [
             {
                 "group": g,
-                "provenance": prov,
+                "provenance": _plain(prov),
                 "poly": [[c, list(e)] for e, c in terms],
             }
             for g, prov, terms in pres.groups

@@ -48,6 +48,18 @@ MATRIX = [
     ("p2_diagonal", "goodfan", ["--search"], "goodfan.json", 0),
     ("cube_planes", "check", [], "check.json", 0),
     ("cube_planes", "present", [], "present.json", 0),
+    # the strata_sweep model: 2+2 coordinate curves, 8 members
+    ("p1xp1_curves", "stratum", ["--nested", '{"members": [], "rays": []}'],
+     "stratum_none.json", 0),
+    ("p1xp1_curves", "stratum", ["--nested", '{"members": [2], "rays": []}'],
+     "stratum_curve.json", 0),
+    # a point below a curve, so the point's F groups see a nested member above
+    ("p1xp1_curves", "stratum", ["--nested", '{"members": [0, 2], "rays": []}'],
+     "stratum_point_curve.json", 0),
+    ("p1xp1_curves", "stratum", ["--nested", '{"members": [2], "rays": [2]}'],
+     "stratum_curve_ray.json", 0),
+    ("p1xp1_curves", "stratum", ["--nested", '{"members": [], "rays": [0, 2]}'],
+     "stratum_two_rays.json", 0),
 ]
 
 

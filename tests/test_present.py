@@ -1,3 +1,4 @@
+import functools
 import os
 import pathlib
 import subprocess
@@ -6,9 +7,11 @@ import textwrap
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wondertoric
-from wondertoric.building import BuildingSet, building_set
+from wondertoric.building import BuildingSet, building_set, nested_plus_sets
 from wondertoric.chern import LiftedChernPoly, lift_chern_relative
 from wondertoric.cohomology import GradedRing, from_terms, pvar
 from wondertoric.errors import (
@@ -19,7 +22,9 @@ from wondertoric.errors import (
     NotGood,
     NotNested,
 )
-from wondertoric.fans import fan, rays_in_kernel
+from wondertoric.cli import dumps
+from wondertoric.fans import fan, rays_in_kernel, search_good_fan, validate_good
+from wondertoric.jobs import job_building, job_poset, load_job
 from wondertoric.layers import build_layer_poset, layer
 from wondertoric.present import (
     ModelPresentation,
@@ -31,8 +36,11 @@ from wondertoric.present import (
     nested_set,
     presentation_to_dict,
     stratum_ideal,
+    stratum_size,
     validated_model,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 P1 = fan(1, ((1,), (-1,)), ((0,), (1,)))
 P1XP1 = fan(
@@ -249,11 +257,87 @@ def test_a_caller_lift_sees_every_pair_after_a_warm_model():
 
 def test_the_lift_memo_is_not_a_constructor_argument():
     model = validated_model(P1XP1, three_member_building())
-    with pytest.raises(TypeError):
-        type(model)(model.fan, model.building, lifts={})
+    for memo in ("lifts", "assembled"):
+        with pytest.raises(TypeError):
+            type(model)(model.fan, model.building, **{memo: {}})
     model_ideal(model)
+    stratum_ideal(model, nested_set(members=[0]))
+    assert model.assembled and "assembled" not in repr(model)
     fresh = type(model)(model.fan, model.building)
-    assert fresh == model and fresh.lifts == {}
+    assert fresh == model and fresh.lifts == {} and fresh.assembled == {}
+
+
+@functools.lru_cache(maxsize=None)
+def golden_fan_and_building(stem):
+    """The fan (repaired first if it is not good, as `goodfan --search`
+    does) and building set of a golden job."""
+    job = load_job(GOLDEN / (stem + ".job.json"))
+    poset = job_poset(job)
+    f = job.fan
+    lats = [e.gamma for e in poset.elements]
+    if not validate_good(f, lats).ok:
+        f, _ = search_good_fan(f, lats)
+    return f, job_building(job, poset)
+
+
+@functools.lru_cache(maxsize=None)
+def cold_stratum(stem, nested):
+    f, b = golden_fan_and_building(stem)
+    pres = assemble_stratum_ideal(f, b, nested)
+    return pres, pres.ring.substituted_relations(), hilbert_function(pres)
+
+
+# the golden models, among them the strata_sweep curves and the cube planes
+GOLDEN_STEMS = sorted(p.name[: -len(".job.json")] for p in GOLDEN.glob("*.job.json"))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_a_kept_model_assembles_every_stratum_like_a_cold_one(data):
+    stem = data.draw(st.sampled_from(GOLDEN_STEMS), label="model")
+    f, b = golden_fan_and_building(stem)
+    sets = [nested_set(t, r) for t, r in nested_plus_sets(b, f)]
+    order = data.draw(st.permutations(sets), label="order")
+    model = validated_model(f, b)
+    for nested in order:
+        # a model presentation, or a hooked stratum that must keep its
+        # lifts and groups out of the Model's memo
+        extra = data.draw(st.sampled_from([None, "model", "hooked"]))
+        if extra == "model":
+            model_ideal(model)
+        elif extra == "hooked":
+            hook = data.draw(st.sampled_from(sets), label="hooked set")
+            stratum_ideal(model, hook, lift_rel=perturbing_lift)
+        warm = stratum_ideal(model, nested)
+        cold, subbed, hilbert = cold_stratum(stem, nested)
+        assert warm.groups == cold.groups
+        assert warm.ring.substituted_relations() == subbed
+        assert hilbert_function(warm) == hilbert
+        assert ideal_equal_up_to(warm, cold, f.rank - stratum_size(warm))
+
+
+def test_a_caller_cannot_change_the_kept_groups():
+    f, b = golden_fan_and_building("p1xp1_curves")
+    model = validated_model(f, b)
+    point_curve = nested_set(members=[0, 2])
+    want = dumps(presentation_to_dict(cold_stratum("p1xp1_curves", point_curve)[0]))
+    first = stratum_ideal(model, point_curve)
+    name, prov, terms = next(g for g in first.groups if g[0] == "F" and g[1]["others"])
+    with pytest.raises(TypeError):
+        prov["member"] = 99
+    with pytest.raises(TypeError):
+        prov["component"]["phi"] = ()
+    with pytest.raises(AttributeError):
+        prov["others"].append(5)
+    doc = presentation_to_dict(first)
+    for rel in doc["relations"]:
+        rel["provenance"]["member"] = 99
+        rel["provenance"].setdefault("others", []).append(5)
+        if "component" in rel["provenance"]:
+            rel["provenance"]["component"]["phi"].append("1/2")
+        rel["poly"].clear()
+    doc["relations"].clear()
+    assert dumps(presentation_to_dict(stratum_ideal(model, point_curve))) == want
 
 
 def test_json_document():
