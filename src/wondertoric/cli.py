@@ -8,9 +8,10 @@ for identical input; the WONDER_SEED environment variable is recorded in
 search artifacts.
 
 One process may serve many requests through main().  It keeps the last
-model it validated (poset, building set and the Model with its base ring
-and Chern lifts), keyed by the job's fan, layers and building selector, so
-requests on one model, such as the strata of a sweep, build it once.  JSON
+model it validated (building set and the Model with its base ring and
+Chern lifts), keyed by the job's fan, layers and building selector, and the
+last layer poset, keyed by the layers alone, so requests on one model (the
+strata of a sweep, the `betti` after a `goodfan --search`) build it once.  JSON
 documents are rendered by dumps(), which gives the bytes of
 json.dumps(indent=2, sort_keys=True) without its pure-Python encoder.
 """
@@ -200,7 +201,7 @@ def cmd_validate(job, args):
     doc = {"fan": {"smooth": _report_doc(smooth), "complete": _report_doc(complete)}}
     ok = smooth.ok and complete.ok
     try:
-        poset = job_poset(job)
+        poset = _kept_poset(job.layers)
     except SchemaError:
         raise
     except WonderError as exc:
@@ -231,7 +232,7 @@ def cmd_validate(job, args):
 
 
 def cmd_poset(job, args):
-    poset = job_poset(job)
+    poset = _kept_poset(job.layers)
     doc = {
         "elements": [
             dict(layer_to_dict(e), codim=e.codim) for e in poset.elements
@@ -266,9 +267,14 @@ def cmd_nested(job, args):
 _ModelKey = collections.namedtuple("ModelKey", "fan layers building")
 
 
+@functools.lru_cache(maxsize=1)  # keyed by the layers alone; a raised error is not kept
+def _kept_poset(layers):
+    return job_poset(_ModelKey(None, layers, None))
+
+
 @functools.lru_cache(maxsize=1)  # the last model's; a raised error is not kept
 def _kept_building(key):
-    return job_building(key, job_poset(key))
+    return job_building(key, _kept_poset(key.layers))
 
 
 @functools.lru_cache(maxsize=1)  # a second step: stratum schema errors come first
@@ -338,7 +344,7 @@ def cmd_check(job, args):
 
 
 def cmd_goodfan(job, args):
-    poset = job_poset(job)
+    poset = _kept_poset(job.layers)  # a repair's betti reuses it
     lats = [e.gamma for e in poset.elements]
     if args.search:
         fixed, steps = search_good_fan(job.fan, lats, args.budget)

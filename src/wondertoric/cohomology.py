@@ -258,9 +258,7 @@ class GradedRing:
         degree-d relations over those columns)."""
         if d not in self._tables:
             momos = self.standard_monomials(d)
-            ech = RowEchelon(len(momos))
-            for row in self.shifted_rows(self._split_relations()[1], d):
-                ech.insert(row)
+            ech = RowEchelon(len(momos), self.shifted_rows(self._split_relations()[1], d))
             self._tables[d] = (momos, {e: k for k, e in enumerate(momos)}, ech)
         return self._tables[d]
 
@@ -498,10 +496,8 @@ def ideal_slice(ring, extra_gens, d):
     """HNF over `monomials(d)` of the degree-d span of the ring's relations
     plus extra ideal generators (given as polynomials)."""
     ech = ring.slice_table(d)[2]
-    span = RowEchelon(ech.ncols)
     gens = [(p.items(), pdegree(p)) for p in map(ring.substitute, extra_gens) if p]
-    for row in itertools.chain(ech.hnf_rows(), ring.shifted_rows(gens, d)):
-        span.insert(row)
+    span = RowEchelon(ech.ncols, itertools.chain(ech.hnf_rows(), ring.shifted_rows(gens, d)))
     return tuple(ring.full_hnf_rows(d, span.hnf_rows()))
 
 

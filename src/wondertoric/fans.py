@@ -14,16 +14,15 @@ from dataclasses import dataclass
 
 from .errors import BudgetExhausted, InvariantViolated, MalformedFan, NotCompatible, RayNotInterior
 from .lattice import (
+    RowEchelon,
     elementary_divisors,
-    hermite_normal_form,
     kernel_basis,
     solve_in_lattice,
 )
 
 # Entries per memoised (fan, lattice) kernel.  A key keeps its whole fan
-# alive, and the greedy search makes up to 64 fans per request, so the
-# caches stay small: 256 entries raised peak memory on the oracle_repair
-# benchmark workload by 5-6%.
+# alive, so the caches stay small: only input fans reach them now, and 256
+# entries raised oracle_repair peak memory by 5-6% when every searched fan did.
 FAN_CACHE_SIZE = 32
 
 # Coefficients of the candidate characters of an equal-sign basis, in search
@@ -82,7 +81,7 @@ def fan(rank, rays, max_cones):
         if any(i < 0 or i >= len(rays) for i in c):
             raise MalformedFan("ray index out of range: %r" % (c,))
         c = tuple(sorted(c))
-        if len(hermite_normal_form([rays[i] for i in c])) != len(c):
+        if RowEchelon(rank, [rays[i] for i in c]).rank != len(c):
             raise MalformedFan("max cone not simplicial: %r" % (c,))
         cones.append(c)
     if len(set(cones)) != len(cones):
@@ -262,82 +261,103 @@ def rays_in_kernel(f, lat):
 def cone_face_compat(f, lat):
     """For each max cone C, {x in C : all of lat vanishes on x} must be the
     face spanned by the rays of C lying in that kernel subspace."""
-    inside = rays_in_kernel(f, lat)
+    values = [[sum(a * b for a, b in zip(chi, r)) for r in f.rays] for chi in lat.basis]
     bad = []
     for c in f.max_cones:
-        outside = [j for j in c if j not in inside]
-        if not outside:
+        A = [[v[i] for i in c] for v in values]
+        outside = [int(any(col)) for col in zip(*A)]
+        # violation iff some x = sum lam_j r_j, lam >= 0 and lam_j > 0 for an
+        # outside j, pairs zero with lat.  A basis character of one sign on C
+        # zeroes lam_j where it is nonzero; if an outside j is left free, one
+        # LP decides, with the outside lam scaled to sum to 1
+        signed = [row for row in A if min(row) >= 0 or max(row) <= 0]
+        free = [out and not any(row[p] for row in signed) for p, out in enumerate(outside)]
+        if not any(free) or not feasible_nonneg(A + [outside], [0] * len(A) + [1]):
             continue
-        # violation iff some x = sum lam_j r_j with lam >= 0, lam_j >= 1 for
-        # one outside j, pairing zero against every basis character
-        A = [[pairing(chi, f.rays[i]) for i in c] for chi in lat.basis]
-        for j in outside:
-            # substitute lam_j = 1 + mu_j
-            b = [-pairing(chi, f.rays[j]) for chi in lat.basis]
-            if feasible_nonneg(A, b):
+        for j, out in zip(c, outside):
+            # the first outside j with lam_j >= 1: substitute lam_j = 1 + mu_j
+            if out and feasible_nonneg(A, [-v[j] for v in values]):
                 bad.append(("interior_meets_kernel", c, j))
                 break
     return Report(not bad, tuple(bad))
 
 
-def _ray_values(f, chi):
-    """Pairings of the character chi with the rays of f, in ray order."""
-    return [sum(a * b for a, b in zip(chi, r)) for r in f.rays]
+def _signs(chi, rays, start=0, signs=None):
+    """The (positive, negative) sets of the indices of rays, from start on
+    (added to signs if given), where chi pairs with that sign."""
+    pos, neg = signs or (set(), set())
+    for i in range(start, len(rays)):
+        v = sum(a * b for a, b in zip(chi, rays[i]))
+        if v:
+            (pos if v > 0 else neg).add(i)
+    return pos, neg
 
 
-def _mixed(vals, cone):
-    """True when the ray values on the cone take both signs."""
-    return any(vals[i] > 0 for i in cone) and any(vals[i] < 0 for i in cone)
+def _mixed(signs, cone):
+    """True when the character of the signs takes both on the cone's rays."""
+    return not signs[0].isdisjoint(cone) and not signs[1].isdisjoint(cone)
 
 
 def one_signed(f, chi):
     """True when chi pairs with the rays of every max cone using one sign."""
-    vals = _ray_values(f, chi)
-    return not any(_mixed(vals, c) for c in f.max_cones)
+    signs = _signs(chi, f.rays)
+    return not any(_mixed(signs, c) for c in f.max_cones)
 
 
 def equal_sign_check(f, basis):
     """Each basis character must pair with the rays of any single cone using
     one sign only (the sign may differ between cones and characters)."""
-    values = [_ray_values(f, chi) for chi in basis]
+    signs = [_signs(chi, f.rays) for chi in basis]
     bad = tuple(
         ("mixed_signs", c, bi)
         for c in f.max_cones
-        for bi, vals in enumerate(values)
-        if _mixed(vals, c)
+        for bi, sg in enumerate(signs)
+        if _mixed(sg, c)
     )
     return Report(not bad, bad)
 
 
+def _candidates(lat):
+    """(combo, chi): the characters chi = combo . canonical basis of lat for
+    primitive combos over COEFF_ORDER, in product order (simple first)."""
+    for combo in itertools.product(COEFF_ORDER, repeat=lat.rank):
+        combo = combo[::-1]  # vary the first basis coefficient fastest
+        if math.gcd(*combo) == 1:
+            yield combo, tuple(
+                sum(c * row[j] for c, row in zip(combo, lat.basis))
+                for j in range(lat.ambient_rank)
+            )
+
+
+def _pick_basis(s, candidates):
+    """The chis of the first s (combo, chi) candidates, in combination order,
+    whose combos are unimodular, or None.  Candidates are read only as far
+    as the pick gets, and a subset grows only while its rows are independent."""
+    it, seen = iter(candidates), []
+
+    def pick(subset):
+        ech = RowEchelon(s, [seen[k][0] for k in subset])
+        if ech.rank < len(subset):
+            return None
+        if len(subset) == s:  # pivot entries are the HNF's: all 1 means determinant 1
+            return subset if all(p[j] == 1 for j, p in ech.pivots.items()) else None
+        for k in itertools.count(subset[-1] + 1 if subset else 0):
+            if k == len(seen):
+                seen.append(next(it, None))
+            found = seen[k] and pick(subset + [k])
+            if seen[k] is None or found:
+                return found
+
+    found = pick([])
+    return None if found is None else tuple(seen[k][1] for k in found)
+
+
 @functools.lru_cache(maxsize=FAN_CACHE_SIZE)
 def find_equal_sign_basis(f, lat):
-    """Search a basis of lat that passes equal_sign_check, or return None.
-
-    Candidates are integer combinations of the canonical basis with
-    coefficients in COEFF_ORDER, enumerated in product order, so simple
-    coordinate characters are found first.  A unimodular subset of the
-    one-signed candidates is then picked greedily.
-    """
-    s = lat.rank
-    if s == 0:
-        return ()
-    candidates = []
-    for combo in itertools.product(COEFF_ORDER, repeat=s):
-        combo = combo[::-1]  # vary the first basis coefficient fastest
-        if math.gcd(*combo) != 1:
-            continue
-        chi = tuple(
-            sum(c * row[j] for c, row in zip(combo, lat.basis))
-            for j in range(lat.ambient_rank)
-        )
-        if one_signed(f, chi):
-            candidates.append((combo, chi))
-    for subset in itertools.combinations(range(len(candidates)), s):
-        mat = [list(candidates[i][0]) for i in subset]
-        h = hermite_normal_form(mat)
-        if len(h) == s and all(h[i][i] == 1 for i in range(s)):
-            return tuple(candidates[i][1] for i in subset)
-    return None
+    """Search a basis of lat that passes equal_sign_check, or return None:
+    the first unimodular subset of the one-signed candidates, each tested
+    only when the pick reaches it."""
+    return _pick_basis(lat.rank, (cand for cand in _candidates(lat) if one_signed(f, cand[1])))
 
 
 def validate_good(f, lattices):
@@ -429,7 +449,7 @@ def stellar_subdivide(f, cone, new_ray):
     """Star subdivision at new_ray, which must sit in the relative interior
     of the given cone (a face of some max cone)."""
     cone = tuple(sorted(int(i) for i in cone))
-    if not any(set(cone) <= set(c) for c in f.max_cones):
+    if not any(set(cone).issubset(c) for c in f.max_cones):
         raise MalformedFan("not a face of any max cone: %r" % (cone,))
     if not cone:
         raise RayNotInterior("the zero cone has no interior ray")
@@ -447,10 +467,10 @@ def stellar_subdivide(f, cone, new_ray):
     star = len(f.rays)
     cones = []
     for c in f.max_cones:
-        if set(cone) <= set(c):
+        if set(cone).issubset(c):
             for drop in cone:
                 sc = tuple(sorted([i for i in c if i != drop] + [star]))
-                if len(hermite_normal_form([rays[i] for i in sc])) != len(sc):
+                if RowEchelon(f.rank, [rays[i] for i in sc]).rank != len(sc):
                     raise InvariantViolated("star cone not simplicial: %r" % (sc,))
                 cones.append(sc)
         else:
@@ -468,43 +488,75 @@ def canonicalize(f):
     return fan(f.rank, rays, cones)
 
 
-def first_equal_sign_violation(f, lat):
+def first_equal_sign_violation(f, lat, signs=None):
     """Deterministic pick of a (cone, character, face) violation for the
-    canonical basis of lat, or None when every cone is fine."""
-    values = [_ray_values(f, chi) for chi in lat.basis]
+    canonical basis of lat, or None when every cone is fine.  signs: the
+    _signs of the basis rows on f, when the caller keeps them."""
+    signs = signs or [_signs(chi, f.rays) for chi in lat.basis]
     for c in f.max_cones:
-        for chi, vals in zip(lat.basis, values):
-            if _mixed(vals, c):
-                return c, chi, tuple(i for i in c if vals[i])
+        for chi, (pos, neg) in zip(lat.basis, signs):
+            if not pos.isdisjoint(c) and not neg.isdisjoint(c):
+                return c, chi, tuple(i for i in c if i in pos or i in neg)
     return None
+
+
+class _SignState:
+    """The _signs of the candidates of find_equal_sign_basis and then of the
+    canonical rows of a lattice, each with a max cone where it is mixed, or
+    None once it is one-signed: then it stays so, and its signs are let be
+    (stale, they still show it mixed on no cone)."""
+
+    def __init__(self, f, lat):
+        self.cands = list(_candidates(lat))
+        chars = [chi for _, chi in self.cands] + list(lat.basis)
+        self.signs = [_signs(chi, f.rays) for chi in chars]
+        self.mixed = [next((c for c in f.max_cones if _mixed(sg, c)), None) for sg in self.signs]
+        self.chars, self.nrays = chars, len(f.rays)
+
+    def sync(self, f):
+        """Follow star subdivisions into f; a lost mixed cone is sought anew."""
+        cones, new = set(f.max_cones), [c for c in f.max_cones if c[-1] >= self.nrays]
+        for k, chi in enumerate(self.chars):
+            if self.mixed[k] is not None:
+                sg = _signs(chi, f.rays, self.nrays, self.signs[k])
+                if self.mixed[k] not in cones:
+                    order = itertools.chain(new, f.max_cones)
+                    self.mixed[k] = next((c for c in order if _mixed(sg, c)), None)
+        self.nrays = len(f.rays)
+
+    def has_basis(self, s):
+        """Whether find_equal_sign_basis finds a basis on the synced fan."""
+        signed = [cand for cand, c in zip(self.cands, self.mixed) if c is None]
+        return _pick_basis(s, signed) is not None
 
 
 def search_good_fan(f, lattices, budget=64):
     """Greedy repair loop: while some lattice lacks an equal-sign basis,
     stellar-subdivide the smallest violating face at the primitive sum of its
-    rays.  Returns (fan, subdivision count).  Raises BudgetExhausted."""
-    current = f
-    steps = 0
-    # Lattices with an equal-sign basis.  A new ray is a positive sum of the
-    # rays of one face, so a character one-signed on a cone stays one-signed
-    # on every cone of its star: the basis survives every later subdivision.
-    done = set()
-    while True:
-        pending = None
-        for idx, lat in enumerate(lattices):
-            if idx in done:
-                continue
-            if find_equal_sign_basis(current, lat) is not None:
-                done.add(idx)
-            else:
-                # each canonical row is a candidate, so one is mixed somewhere
-                pending = first_equal_sign_violation(current, lat)
-                break
-        if pending is None:
-            return current, steps
-        if steps >= budget:
-            raise BudgetExhausted("no good fan within %d subdivisions" % budget)
-        _, _, face = pending
-        total = [sum(current.rays[i][j] for i in face) for j in range(current.rank)]
-        current = stellar_subdivide(current, face, primitive(total))
-        steps += 1
+    rays.  Returns (fan, subdivision count).  Raises BudgetExhausted, naming
+    the lattice, its last violating cone and the character mixed there.
+
+    A new ray is a positive sum of the rays of one face, so a character
+    one-signed on a cone stays so on its star and a basis, once found, stays.
+    So each lattice is tested once, on the input fan through the cache; one
+    that fails there is followed by its _SignState, and no later fan is cached.
+    """
+    current, steps = f, 0
+    pending = [(idx, lat, _SignState(f, lat)) for idx, lat in enumerate(lattices)
+               if find_equal_sign_basis(f, lat) is None]
+    for idx, lat, signs in pending:
+        signs.sync(current)
+        while not signs.has_basis(lat.rank):
+            # each canonical row is a candidate, so one is mixed somewhere
+            rows = signs.signs[len(signs.cands):]
+            cone, chi, face = first_equal_sign_violation(current, lat, rows)
+            if steps >= budget:
+                raise BudgetExhausted(
+                    "no good fan within %d subdivisions: lattice %d (basis %s) is mixed on cone %s"
+                    " (rays %s) by character %s" % (budget, idx, [list(r) for r in lat.basis],
+                    list(cone), [list(current.rays[i]) for i in cone], list(chi)))
+            total = [sum(current.rays[i][j] for i in face) for j in range(current.rank)]
+            current = stellar_subdivide(current, face, primitive(total))
+            signs.sync(current)
+            steps += 1
+    return current, steps

@@ -69,10 +69,12 @@ class RowEchelon:
     that lattice and never changes a pivot entry.
     """
 
-    def __init__(self, ncols):
+    def __init__(self, ncols, rows=()):
         self.ncols = ncols
         self.pivots = {}
         self._reduced = True
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self):
@@ -161,9 +163,7 @@ def hermite_normal_form(mat):
     increase, pivots are positive, entries above a pivot are reduced into
     [0, pivot).  Zero rows are dropped.
     """
-    ech = RowEchelon(len(mat[0]) if mat else 0)
-    for row in mat:
-        ech.insert(map(int, row))
+    ech = RowEchelon(len(mat[0]) if mat else 0, (map(int, row) for row in mat))
     return tuple(ech.hnf_rows())
 
 
@@ -302,9 +302,8 @@ def _solve_in_lattice(basis, target):
     # echelon of [basis | I]: a pivot in the I block is a dependency, and
     # reducing [target | 0] leaves [0 | -coords] exactly for members
     n, k = len(target), len(basis)
-    ech = RowEchelon(n + k)
-    for i, row in enumerate(basis):
-        ech.insert(list(row) + [int(i == j) for j in range(k)])
+    rows = (list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(basis))
+    ech = RowEchelon(n + k, rows)
     if any(j >= n for j in ech.pivots):
         raise ValueError("basis rows are dependent")
     v = ech.reduce_vector(list(target) + [0] * k)

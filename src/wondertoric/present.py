@@ -105,7 +105,7 @@ class Model:
     in validated_model.  Functions that take a Model check nothing again.
 
     A Model also keeps what every presentation of it shares: the base ring,
-    built on first use, the Chern lifts, one per pair (G, M), and the
+    built on first use, the Chern lifts by pair (G, M) of poset ids, and the
     relation groups with their substituted terms, the F groups of member i
     per nested members above G_i.  Reuse one Model for many presentations."""
 
@@ -264,9 +264,9 @@ def _assemble(model, nested, lift_rel):
                         )
                     where = holding[0]
                     mlayer = building.poset.elements[where]
-                if (g_layer, mlayer) not in lifts:
-                    lifts[g_layer, mlayer] = lift_rel(g_layer, mlayer, base, f)
-                p = lifts[g_layer, mlayer]
+                if (g, where) not in lifts:  # ids: a Layer would hash its Fractions
+                    lifts[g, where] = lift_rel(g_layer, mlayer, base, f)
+                p = lifts[g, where]
                 poly = {}
                 for k, coeff in enumerate(p.coeff_polys()):
                     piece = pmul(ext(coeff), ppow(shift, k, nvars))

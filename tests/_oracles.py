@@ -9,9 +9,9 @@ intersections go through the lattice arithmetic of `intersect_layers` rather
 than the poset's inclusion table.
 The Q/Z, simplex and cone-coordinate kernels are kept here in their
 fractions.Fraction form, the greedy fan search without its record of
-lattices already repaired, and the equal-sign searches in the form that
-pairs a character with every ray of every cone and builds a Report per
-candidate.  The Hermite form and the lattice solve are kept as one batch
+lattices already repaired or of their signs, the face-compatibility check
+with one LP per ray, and the equal-sign searches in the form that pairs a
+character with every ray of every cone and builds a Report per candidate.  The Hermite form and the lattice solve are kept as one batch
 elimination with a transform matrix, and the toric elimination as
 Gauss-Jordan over Fractions.  The echelon engine is kept in its dense-list
 form, and the all-monomial slice references run on it.
@@ -653,13 +653,36 @@ def relint_coords_reference(f, cone, vec):
     return coords
 
 
+def cone_face_compat_reference(f, lat):
+    """fans.cone_face_compat with one LP per outside ray of each cone and
+    every pairing computed again per cone."""
+    inside = {
+        i for i, r in enumerate(f.rays) if all(pairing(chi, r) == 0 for chi in lat.basis)
+    }
+    bad = []
+    for c in f.max_cones:
+        outside = [j for j in c if j not in inside]
+        if not outside:
+            continue
+        # violation iff some x = sum lam_j r_j with lam >= 0, lam_j >= 1 for
+        # one outside j, pairing zero against every basis character
+        A = [[pairing(chi, f.rays[i]) for i in c] for chi in lat.basis]
+        for j in outside:
+            # substitute lam_j = 1 + mu_j
+            b = [-pairing(chi, f.rays[j]) for chi in lat.basis]
+            if feasible_nonneg_reference(A, b):
+                bad.append(("interior_meets_kernel", c, j))
+                break
+    return Report(not bad, tuple(bad))
+
+
 def search_good_fan_reference(f, lattices, budget=64):
     """fans.search_good_fan searching every lattice again on every new fan."""
     current = f
     steps = 0
     while True:
         pending = None
-        for lat in lattices:
+        for idx, lat in enumerate(lattices):
             if find_equal_sign_basis(current, lat) is None:
                 pending = first_equal_sign_violation(current, lat)
                 if pending is None:
@@ -670,9 +693,14 @@ def search_good_fan_reference(f, lattices, budget=64):
                 break
         if pending is None:
             return current, steps
+        cone, chi, face = pending
         if steps >= budget:
-            raise BudgetExhausted("no good fan within %d subdivisions" % budget)
-        _, _, face = pending
+            rays = ", ".join(str(list(current.rays[i])) for i in cone)
+            raise BudgetExhausted(
+                "no good fan within %d subdivisions: lattice %d (basis %s) is mixed on"
+                " cone %s (rays [%s]) by character %s"
+                % (budget, idx, [list(r) for r in lat.basis], list(cone), rays, list(chi))
+            )
         total = [sum(current.rays[i][j] for i in face) for j in range(current.rank)]
         current = stellar_subdivide(current, face, primitive(total))
         steps += 1

@@ -516,3 +516,35 @@ def test_bad_flag_then_good_call_match_separate_runs():
 def test_importing_the_cli_loads_no_process_pool():
     script = "import sys, wondertoric.cli; print('concurrent.futures' in sys.modules)"
     assert run_python("-c", script).strip() == "False"
+
+
+def test_a_repair_and_its_betti_build_one_poset(tmp_path, capsys, monkeypatch):
+    built = []
+    build = jobs.build_layer_poset
+    monkeypatch.setattr(jobs, "build_layer_poset", lambda arr: built.append(arr) or build(arr))
+    clear_caches()
+    plain = golden_path("skew_plain.job.json")
+    code, _, _, fan_doc = run_captured(["goodfan", "--search", "--input", plain], tmp_path, capsys)
+    assert code == 0 and len(built) == 1
+    with open(plain) as fh:
+        doc = json.load(fh)
+    repaired = tmp_path / "repaired.json"
+    repaired.write_text(json.dumps(dict(doc, fan=json.loads(fan_doc)["fan"])))
+    code, _, _, betti = run_captured(["betti", "--input", str(repaired)], tmp_path, capsys)
+    # the same layers (skew_good's): the betti reuses the poset its goodfan built
+    assert code == 0 and len(built) == 1
+    with open(golden_path("skew_good.betti.json"), "rb") as fh:
+        assert betti == fh.read()
+    # other layers build their own poset
+    assert run_captured(["betti", "--input", golden_path("p1xp1_coordinate.job.json")], tmp_path, capsys)[0] == 0
+    assert len(built) == 2
+    # an unsaturated layer exits 1 every time, and its failure is not kept
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(dict(doc, layers=[{"gamma": [[2, 0]], "phi": ["0/1"]}])))
+    for _ in range(2):
+        code, _, err, _ = run_captured(["goodfan", "--search", "--input", str(split)], tmp_path, capsys)
+        assert code == 1 and "not saturated" in err
+    assert len(built) == 4
+    # and the poset kept before it is still kept
+    assert run_captured(["betti", "--input", golden_path("p1xp1_coordinate.job.json")], tmp_path, capsys)[0] == 0
+    assert len(built) == 4

@@ -4,10 +4,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wondertoric.fans as fans_module
 from _oracles import (
+    cone_face_compat_reference,
     equal_sign_adapted_basis_reference,
     equal_sign_check_reference,
     feasible_nonneg_reference,
@@ -30,6 +32,7 @@ from wondertoric.fans import (
     first_equal_sign_violation,
     induced_fan,
     one_signed,
+    pairing,
     primitive,
     relint_coords,
     search_good_fan,
@@ -509,6 +512,12 @@ def search_outcome(search, f, lats, budget):
         return ("exhausted", str(exc))
 
 
+EXHAUSTED = re.compile(
+    r"no good fan within (\d+) subdivisions: lattice (\d+) \(basis (.*)\) is mixed on"
+    r" cone (\[[\d, ]*\]) \(rays (.*)\) by character (\[.*\])$"
+)
+
+
 @pytest.mark.parametrize("family", sorted(SEARCH_FAMILIES))
 def test_search_good_fan_equals_the_loop_that_searches_every_lattice(family):
     (rays, cones), chars, budget = SEARCH_FAMILIES[family]
@@ -520,15 +529,109 @@ def test_search_good_fan_equals_the_loop_that_searches_every_lattice(family):
         lats = [e.gamma for e in poset.elements]
         got = search_outcome(search_good_fan, f, lats, budget)
         assert got == search_outcome(search_good_fan_reference, f, lats, budget)
-        exhausted += got[0] == "exhausted"
+        if got[0] == "exhausted":
+            exhausted += 1
+            # the plane x+y+z=0 is the lattice the search cannot repair
+            found = EXHAUSTED.match(got[1])
+            assert found and found.group(1) == str(budget)
+            assert lats[int(found.group(2))].basis == span_rows([move(chars[0])], n).basis
     assert exhausted == (2 ** n * math.factorial(n) if family == "divergent" else 0)
 
 
 def test_divergent_search_exhausts_the_default_budget_like_the_loop():
     (rays, cones), chars, _ = SEARCH_FAMILIES["divergent"]
+    outcomes = []
     for move in itertools.islice(signed_labelings(3), 0, 48, 47):  # first, last
         f = fan(3, [move(r) for r in rays], cones)
         lats = [e.gamma for e in build_layer_poset([layer([move(c)], [0], 3) for c in chars]).elements]
         got = search_outcome(search_good_fan, f, lats, 64)
         assert got == search_outcome(search_good_fan_reference, f, lats, 64)
-        assert got == ("exhausted", "no good fan within 64 subdivisions")
+        outcomes.append(got)
+    # the rays of the last fan grow like the Fibonacci numbers
+    assert outcomes[0] == (
+        "exhausted",
+        "no good fan within 64 subdivisions: lattice 1 (basis [[1, 1, 1]]) is mixed on"
+        " cone [5, 68, 69] (rays [[0, 0, -1], [6557470319842, 10610209857723, -17167680177564],"
+        " [10610209857723, 17167680177565, -27777890035287]]) by character [1, 1, 1]",
+    )
+    assert EXHAUSTED.match(outcomes[1][1]).group(1, 2, 3, 4, 6) == (
+        "64", "1", "[[1, 1, 1]]", "[5, 68, 69]", "[1, 1, 1]")
+
+
+@st.composite
+def search_inputs(draw):
+    """A rank-2 or rank-3 fan of FANS and the lattices of the layer poset of
+    one to three primitive characters with entries in [-2, 2]."""
+    f = draw(st.sampled_from([g for g in FANS if g.rank > 1]))
+    entries = st.lists(st.integers(-2, 2), min_size=f.rank, max_size=f.rank)
+    chars = draw(st.lists(entries.filter(any).map(primitive), min_size=1, max_size=3, unique=True))
+    return f, chars
+
+
+@settings(max_examples=120, deadline=None)
+@given(inputs=search_inputs(), budget=st.integers(0, 16))
+@example(inputs=(P1xP1, [(1, 1), (1, -1)]), budget=16)  # converges in 4 steps
+@example(inputs=(CUBE, [(1, 1, 1), (1, 0, 0)]), budget=16)  # exhausts
+@example(inputs=(P2, [(1, -1)]), budget=0)  # exhausts at once
+def test_search_good_fan_equals_the_loop_on_random_arrangements(inputs, budget):
+    f, chars = inputs
+    lats = [e.gamma for e in build_layer_poset([layer([c], [0], f.rank) for c in chars]).elements]
+    got = search_outcome(search_good_fan, f, lats, budget)
+    assert got == search_outcome(search_good_fan_reference, f, lats, budget)
+    if got[0] == "exhausted":
+        assert EXHAUSTED.match(got[1]).group(1) == str(budget)
+    else:
+        assert validate_good(got[0], lats).ok and got[1] <= budget
+
+
+def test_search_good_fan_passes_only_the_input_fan_to_the_caches(monkeypatch):
+    seen = []
+
+    def spy(fn):
+        def wrapped(f, lat):
+            seen.append(f)
+            return fn(f, lat)
+        return wrapped
+
+    for name in ("find_equal_sign_basis", "cone_face_compat"):
+        monkeypatch.setattr(fans_module, name, spy(getattr(fans_module, name)))
+    for (rays, cones), chars, budget in SEARCH_FAMILIES.values():
+        n = len(rays[0])
+        f = fan(n, rays, cones)
+        lats = [e.gamma for e in build_layer_poset([layer([c], [0], n) for c in chars]).elements]
+        seen.clear()
+        search_outcome(search_good_fan, f, lats, budget)
+        assert seen and all(g is f for g in seen)
+
+
+@st.composite
+def compat_pairs(draw):
+    """A fan of FANS after up to two stellar subdivisions and a sublattice of
+    its characters.  Half of the lattices kill a point of the interior of a
+    max cone, so most of those are incompatible with it; returns the cone."""
+    f = draw(subdivided_fans())
+    if draw(st.booleans()):
+        return f, sublattice(independent_rows(draw, f.rank), f.rank), None
+    cone = draw(st.sampled_from(f.max_cones))
+    lams = draw(st.lists(st.integers(1, 3), min_size=len(cone), max_size=len(cone)))
+    x = [sum(l * f.rays[i][j] for l, i in zip(lams, cone)) for j in range(f.rank)]
+    rows = []
+    for y in independent_rows(draw, f.rank, min_rows=1, entry=2)[: f.rank - 1]:
+        # the part of y orthogonal to x, scaled to an integer character
+        chi = [sum(a * b for a, b in zip(x, x)) * b - sum(a * b for a, b in zip(y, x)) * a
+               for a, b in zip(x, y)]
+        if any(chi):
+            rows.append(primitive(chi))
+    span = span_rows(rows, f.rank)
+    return f, sublattice([list(r) for r in span.basis], f.rank), cone
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=compat_pairs())
+def test_cone_face_compat_equals_the_per_ray_reference(pair):
+    f, L, cone = pair
+    got = cone_face_compat.__wrapped__(f, L)
+    assert got == cone_face_compat_reference(f, L)
+    if cone is not None and any(pairing(chi, f.rays[i]) for chi in L.basis for i in cone):
+        # a kernel point inside the cone, outside its kernel face
+        assert any(fl[1] == cone for fl in got.failures)

@@ -1,10 +1,12 @@
 import functools
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
 import textwrap
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from wondertoric.errors import (
 from wondertoric.cli import dumps
 from wondertoric.fans import fan, rays_in_kernel, search_good_fan, validate_good
 from wondertoric.jobs import job_building, job_poset, load_job
-from wondertoric.layers import build_layer_poset, layer
+from wondertoric.layers import build_layer_poset, layer, torus
 from wondertoric.present import (
     ModelPresentation,
     assemble_model_ideal,
@@ -248,11 +250,31 @@ def test_a_caller_lift_sees_every_pair_after_a_warm_model():
     kept = dict(model.lifts)
     seen = []
     hooked = model_ideal(model, lift_rel=counting_lift(seen))
-    assert sorted(seen, key=repr) == sorted(kept, key=repr)  # each pair once
+    # the memo keys pairs by poset element ids, None for the torus
+    elements = model.building.poset.elements
+    pairs = [(elements[g], torus(2) if m is None else elements[m]) for g, m in kept]
+    assert sorted(seen, key=repr) == sorted(pairs, key=repr)  # each pair once
     # and its lifts stay out of the Model's memo
     perturbed = model_ideal(model, lift_rel=perturbing_lift)
     assert model.lifts == kept
     assert perturbed.groups != hooked.groups == model_ideal(model).groups
+
+
+def test_a_cold_model_ideal_hashes_no_fraction(monkeypatch):
+    # a Layer's hash is its Fractions' hashes: the memos key by element ids
+    f, b = golden_fan_and_building("cube_planes")
+    model = validated_model(f, b)
+    for name in ("chern", "fans", "lattice", "layers"):
+        for fn in vars(importlib.import_module("wondertoric." + name)).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or fraction_hash(x))
+    assert hash(Fraction(1, 2)) == fraction_hash(Fraction(1, 2)) and len(calls) == 1
+    calls.clear()
+    hilbert_function(model_ideal(model))
+    assert model.lifts and not calls, len(calls)
 
 
 def test_the_lift_memo_is_not_a_constructor_argument():
