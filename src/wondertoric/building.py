@@ -8,10 +8,9 @@ clean.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import CycleDetected, NotBuilding, NotLast
+from .errors import BadOrder, CycleDetected, NotBuilding
 from .fans import Report, merge_reports, rays_in_kernel
 from .layers import LayerPoset
 
@@ -112,8 +111,25 @@ def order_refining_inclusion(member_ids, poset):
 
 @dataclass(frozen=True)
 class BuildingSet:
+    """An ordered, well-connected building set of a layer poset.  Making one
+    checks it: every non-member is a transversal component of its minimal
+    containing members, intersections split only into members, and no member
+    is contained in an earlier one.  Raises NotBuilding or BadOrder."""
+
     poset: LayerPoset
     members: tuple  # ordered element ids, inclusion-refining
+
+    def __post_init__(self):
+        poset, ids = self.poset, self.members
+        rep = merge_reports(
+            validate_building(ids, poset), validate_well_connected(ids, poset)
+        )
+        if not rep.ok:
+            raise NotBuilding("not a well-connected building set: %r" % (rep.failures,))
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                if ids[b] != ids[a] and poset.inclusion[ids[b]][ids[a]]:
+                    raise BadOrder("member %d is contained in earlier member %d" % (b, a))
 
     @property
     def size(self):
@@ -124,45 +140,29 @@ class BuildingSet:
 
 
 def building_set(poset, member_ids=None):
-    """Order and validate a building set; member_ids defaults to the whole
-    poset (the maximal building set).  Raises NotBuilding on failure."""
+    """The BuildingSet of member_ids in an order refining inclusion;
+    member_ids defaults to the whole poset (the maximal building set).
+    Raises NotBuilding when the members are not one."""
     if member_ids is None:
         member_ids = range(len(poset.elements))
-    ordered = order_refining_inclusion(member_ids, poset)
-    rep = merge_reports(
-        validate_building(ordered, poset), validate_well_connected(ordered, poset)
-    )
-    if not rep.ok:
-        raise NotBuilding("not a well-connected building set: %r" % (rep.failures,))
-    return BuildingSet(poset, ordered)
+    return BuildingSet(poset, order_refining_inclusion(member_ids, poset))
 
 
-def induced_building_on(z_id, building):
-    """Building set induced on the last member Z: the connected intersections
-    G_i cap Z, each tagged with the position of the first member cutting it.
+def induced_building_on(poset, prefix_ids, z_id):
+    """Building set induced on Z by the members ordered before it: the
+    connected intersections G_i cap Z, each tagged with the position of the
+    first member cutting it.
 
     Disconnected intersections are skipped; their components are members on
     their own and re-enter through their own positions.
     """
-    poset = building.poset
-    if not building.members or building.members[-1] != z_id:
-        raise NotLast("induced building requires the last member")
     out = {}  # element id -> position of the first member cutting it
-    for pos in range(len(building.members) - 1):
-        comps = poset.meet([building.members[pos], z_id])
+    for pos, g in enumerate(prefix_ids):
+        comps = poset.meet([g, z_id])
         # comps == [z_id] cannot happen when the order refines inclusion
         if len(comps) == 1 and comps[0] != z_id:
             out.setdefault(comps[0], pos)
     return list(out.items())
-
-
-def induced_poset(poset, z_id):
-    """Layer poset of everything strictly below Z: the elements strictly
-    contained in it, in poset order, and their rows of the table."""
-    ids = [i for i in range(len(poset.elements)) if i != z_id and poset.inclusion[i][z_id]]
-    elements = tuple(poset.elements[i] for i in ids)
-    incl = tuple(tuple(poset.inclusion[a][b] for b in ids) for a in ids)
-    return LayerPoset(elements, incl)
 
 
 def is_nested(t_ids, building):
@@ -210,8 +210,7 @@ def nested_plus_sets(building, f):
 
     walk((), 0)
     by_size = lambda s: (len(s), s)
-    faces = sorted({s for c in f.max_cones for k in range(len(c) + 1)
-                    for s in itertools.combinations(sorted(c), k)}, key=by_size)
+    faces = sorted(f.faces, key=by_size)
     out = []
     for t in sorted(nested, key=by_size):
         ids = [members[p] for p in t]
@@ -231,7 +230,7 @@ def is_nested_plus(t_ids, ray_indices, building, f):
     rays = sorted(set(ray_indices))
     if not is_nested(t_ids, building):
         return False
-    if rays and not any(set(rays) <= set(c) for c in f.max_cones):
+    if tuple(rays) not in f.faces:
         return False
     if t_ids and rays:
         return rays_in_kernel(f, combined_lattice(t_ids, building)).issuperset(rays)

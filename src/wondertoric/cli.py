@@ -36,14 +36,14 @@ from .fans import (
 )
 from .jobs import check_option, job_building, job_poset, load_job, parse_nested, read_seed
 from .layers import format_qz, layer_to_dict
-from .oracle import betti_of, verify
+from .oracle import betti_of, strip_zeros, verify
 from .present import (
+    Model,
     hilbert_function,
     model_ideal,
     nested_set,
     presentation_to_dict,
     stratum_ideal,
-    validated_model,
 )
 
 COMMANDS = (
@@ -102,13 +102,6 @@ def _dumps(x, nl):
 
 def _vec(v):
     return "(%s)" % ",".join(str(x) for x in v)
-
-
-def _strip_zeros(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return v
 
 
 def ray_name(ray):
@@ -279,16 +272,17 @@ def _kept_building(key):
 
 @functools.lru_cache(maxsize=1)  # a second step: stratum schema errors come first
 def _kept_model(key):
-    return validated_model(key.fan, _kept_building(key), building_checked=True)
+    return Model(key.fan, _kept_building(key))
 
 
 def _building(job):
-    """The job's building set: building_set() checks the members."""
+    """The job's building set, which checked its members when made."""
     return _kept_building(_ModelKey(job.fan, job.layers, job.building))
 
 
 def _model(job):
-    """The job's Model: building_set() checks the members, then the fan."""
+    """The job's Model: the building set checks its members, then the
+    Model the fan."""
     return _kept_model(_ModelKey(job.fan, job.layers, job.building))
 
 
@@ -338,7 +332,7 @@ def cmd_check(job, args):
         "betti": list(betti),
         "ok": rep.ok,
         "failures": _jsonable(list(rep.failures)),
-        "display": "%s=%s" % (_vec(_strip_zeros(ranks)), _vec(betti)),
+        "display": "%s=%s" % (_vec(strip_zeros(ranks)), _vec(betti)),
     }
     return doc, rep.ok
 

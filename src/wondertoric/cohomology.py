@@ -131,7 +131,7 @@ class GradedRing:
     """
 
     def __init__(
-        self, names, relations, eliminate=(), substitutions=None, fan=None, substituted=None
+        self, names, relations, eliminate=(), substitutions=None, substituted=None
     ):
         self.names = tuple(names)
         self.nvars = len(self.names)
@@ -145,7 +145,6 @@ class GradedRing:
                 "substitutions %r do not match the eliminated generators %r"
                 % (sorted(self.substitutions), sorted(self.eliminate))
             )
-        self.fan = fan
         self.surviving = tuple(i for i in range(self.nvars) if i not in set(eliminate))
         self._subbed = None if substituted is None else tuple(substituted)
         self._split = None
@@ -338,10 +337,7 @@ class GradedRing:
 def minimal_nonfaces(f):
     """Inclusion-minimal ray sets spanning no cone; sizes are at most n+1
     since every proper subset of a minimal non-face is a face."""
-    faces = set()
-    for c in f.max_cones:
-        for k in range(len(c) + 1):
-            faces.update(itertools.combinations(c, k))
+    faces = f.faces
     out = []
     nrays = len(f.rays)
     for size in range(2, f.rank + 2):
@@ -380,6 +376,24 @@ def toric_elimination(f):
     return tuple(ref), subst
 
 
+def toric_relations(f, nvars):
+    """Relations of the toric variety of f as (group, provenance, poly), on
+    nvars generators whose first len(f.rays) are the ray classes c_r: the
+    Stanley-Reisner monomial of each minimal non-face, then for each
+    coordinate i the linear relation sum_r r_i c_r."""
+    for s in minimal_nonfaces(f):
+        e = [0] * nvars
+        for r in s:
+            e[r] += 1
+        yield "SR", {"rays": list(s)}, {tuple(e): 1}
+    for i in range(f.rank):
+        p = {}
+        for r, ray in enumerate(f.rays):
+            if ray[i]:
+                p = padd(p, pvar(r, nvars, ray[i]))
+        yield "linear", {"coordinate": i}, p
+
+
 def danilov_ring(f):
     """Presentation of the integer cohomology of the toric variety of a
     validated smooth complete fan, on one generator per ray."""
@@ -391,22 +405,9 @@ def danilov_ring(f):
         )
     nvars = len(f.rays)
     names = tuple("c:%d" % i for i in range(nvars))
-    relations = []
-    for s in minimal_nonfaces(f):
-        e = [0] * nvars
-        for i in s:
-            e[i] += 1
-        relations.append({tuple(e): 1})
-    for i in range(f.rank):
-        p = {}
-        for r in range(nvars):
-            if f.rays[r][i]:
-                e = [0] * nvars
-                e[r] = 1
-                p[tuple(e)] = f.rays[r][i]
-        relations.append(p)
+    relations = [p for _, _, p in toric_relations(f, nvars)]
     eliminate, subst = toric_elimination(f)
-    return GradedRing(names, relations, eliminate, subst, fan=f)
+    return GradedRing(names, relations, eliminate, subst)
 
 
 def h_vector_oracle(f):
@@ -414,12 +415,8 @@ def h_vector_oracle(f):
     from math import comb
 
     n = f.rank
-    faces = set()
-    for c in f.max_cones:
-        for k in range(len(c) + 1):
-            faces.update(itertools.combinations(c, k))
     count = {}
-    for s in faces:
+    for s in f.faces:
         count[len(s)] = count.get(len(s), 0) + 1
     out = []
     for k in range(n + 1):

@@ -29,10 +29,6 @@ class NotSplit(WonderError):
     pass
 
 
-class NotLast(WonderError):
-    pass
-
-
 class CycleDetected(WonderError):
     pass
 

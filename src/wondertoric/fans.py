@@ -52,6 +52,14 @@ class Fan:
     rays: tuple  # tuple of primitive int vectors
     max_cones: tuple  # tuple of strictly increasing ray-index tuples
 
+    @functools.cached_property
+    def faces(self):
+        """Every cone of the fan as a sorted ray-index tuple, () included."""
+        return frozenset(
+            s for c in self.max_cones for k in range(len(c) + 1)
+            for s in itertools.combinations(c, k)
+        )
+
 
 def fan(rank, rays, max_cones):
     """Validate structural invariants and build a Fan.

@@ -13,14 +13,12 @@ of a stage is a set of ambient poset elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .building import BuildingSet, induced_building_on, order_refining_inclusion
+from .building import induced_building_on, order_refining_inclusion
 from .cohomology import h_vector_oracle
 from .errors import InvariantViolated
 from .fans import Report, induced_fan
 from .layers import torus
-from .present import check_model_preconditions, validated_model
+from .present import Model
 
 
 def keel_step(b_y, b_z, d):
@@ -41,36 +39,11 @@ def keel_step(b_y, b_z, d):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    member_id: int  # ambient poset element id of the center's layer
-    codim: int  # codimension of the center in its stage
-    induced: tuple  # ordered ambient ids of the induced arrangement on it
-
-
-@dataclass(frozen=True)
-class BlowupPlan:
-    steps: tuple
-
-
 def _induced_members(poset, prefix_ids, z_id):
-    helper = BuildingSet(poset, tuple(prefix_ids) + (z_id,))
-    pairs = induced_building_on(z_id, helper)
+    """Ordered ambient ids of the arrangement the earlier members induce on
+    the center Z."""
+    pairs = induced_building_on(poset, prefix_ids, z_id)
     return order_refining_inclusion([i for i, _ in pairs], poset)
-
-
-def _plan(poset, member_ids):
-    steps = []
-    for pos, mid in enumerate(member_ids):
-        induced = _induced_members(poset, member_ids[:pos], mid)
-        steps.append(BlowupStep(mid, poset.elements[mid].codim, induced))
-    return BlowupPlan(tuple(steps))
-
-
-def blowup_plan(f, building):
-    """Top-level blowup sequence of the model, one step per ordered member."""
-    check_model_preconditions(f, building)
-    return _plan(building.poset, tuple(building.members))
 
 
 def _stage_betti(f, poset, stage, member_ids, memo):
@@ -101,11 +74,12 @@ def betti_of(model):
 
 
 def model_betti(f, building):
-    """betti_of a fan and building set, validated first."""
-    return betti_of(validated_model(f, building))
+    """betti_of a fan and building set; Model checks the fan."""
+    return betti_of(Model(f, building))
 
 
-def _strip(vec):
+def strip_zeros(vec):
+    """The vector without its trailing zeros, as a tuple."""
     v = list(vec)
     while v and v[-1] == 0:
         v.pop()
@@ -117,8 +91,8 @@ def verify(pres_hilbert, oracle, torsion=()):
 
     Degrees in failure records are cohomological (twice the vector index)."""
     failures = []
-    h = _strip(pres_hilbert)
-    o = _strip(oracle)
+    h = strip_zeros(pres_hilbert)
+    o = strip_zeros(oracle)
     if not h or h[0] != 1:
         failures.append(("b0", "hilbert"))
     if not o or o[0] != 1:

@@ -17,36 +17,22 @@ import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .building import (
-    BuildingSet,
-    antichains,
-    combined_lattice,
-    is_nested_plus,
-    validate_building,
-    validate_well_connected,
-)
+from .building import BuildingSet, antichains, combined_lattice, is_nested_plus
 from .chern import lift_chern_relative
 from .cohomology import (
     GradedRing,
     canon_terms,
     danilov_ring,
-    minimal_nonfaces,
     padd,
     pdegree,
     pmul,
     pmul_mono,
     ppow,
     pvar,
+    toric_relations,
 )
-from .errors import (
-    BadOrder,
-    DegreeMismatch,
-    InvariantViolated,
-    NotBuilding,
-    NotGood,
-    NotNested,
-)
-from .fans import fan_to_dict, merge_reports, rays_in_kernel, validate_good
+from .errors import DegreeMismatch, InvariantViolated, NotGood, NotNested
+from .fans import fan_to_dict, rays_in_kernel, validate_good
 from .layers import closure_nonempty_with_orbit, layer_to_dict, torus
 
 
@@ -77,32 +63,20 @@ class StratumPresentation(ModelPresentation):
     nested: NestedSet = nested_set()
 
 
-def check_good_fan(f, poset):
-    rep = validate_good(f, [e.gamma for e in poset.elements])
+def check_model_preconditions(f, building):
+    """The model precondition a BuildingSet leaves: the fan must be good for
+    every layer of the arrangement.  Raises NotGood."""
+    rep = validate_good(f, [e.gamma for e in building.poset.elements])
     if not rep.ok:
         raise NotGood("fan is not good for the arrangement: %r" % (rep.failures,))
 
 
-def check_model_preconditions(f, building):
-    poset = building.poset
-    check_good_fan(f, poset)
-    rep = merge_reports(
-        validate_building(building.members, poset),
-        validate_well_connected(building.members, poset),
-    )
-    if not rep.ok:
-        raise NotBuilding("not a well-connected building set: %r" % (rep.failures,))
-    ids = building.members
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            if ids[b] != ids[a] and poset.inclusion[ids[b]][ids[a]]:
-                raise BadOrder("member %d is contained in earlier member %d" % (b, a))
-
-
 @dataclass(frozen=True)
 class Model:
-    """A fan and an ordered building set that passed the model preconditions
-    in validated_model.  Functions that take a Model check nothing again.
+    """A fan and a building set that meet the model preconditions: the
+    BuildingSet checked itself when it was made, and making a Model checks
+    that the fan is good for it (check_model_preconditions, NotGood).
+    Functions that take a Model check nothing again.
 
     A Model also keeps what every presentation of it shares: the base ring,
     built on first use, the Chern lifts by pair (G, M) of poset ids, and the
@@ -114,21 +88,13 @@ class Model:
     lifts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     assembled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        check_model_preconditions(self.fan, self.building)
+
     @functools.cached_property
     def base(self):
         """The cohomology ring of the fan's toric variety (danilov_ring)."""
         return danilov_ring(self.fan)
-
-
-def validated_model(f, building, *, building_checked=False):
-    """Check the model preconditions once and return the Model.
-    building_checked=True is for a set that building_set() has just ordered
-    and validated: only the fan's goodness is left to check."""
-    if building_checked:
-        check_good_fan(f, building.poset)
-    else:
-        check_model_preconditions(f, building)
-    return Model(f, building)
 
 
 def _dead_rays(f, building, nested):
@@ -138,7 +104,7 @@ def _dead_rays(f, building, nested):
     t_ids = [building.members[p] for p in nested.members]
     rays = range(len(f.rays))
     perp = rays_in_kernel(f, combined_lattice(t_ids, building)) if t_ids else rays
-    spans = lambda r: any(set(nested.rays) | {r} <= set(c) for c in f.max_cones)
+    spans = lambda r: tuple(sorted({*nested.rays, r})) in f.faces
     return [r for r in rays if r not in perp or not spans(r)]
 
 
@@ -203,7 +169,7 @@ def _assemble(model, nested, lift_rel):
     if "ring" not in memo:  # relation-free, on the model generators: substitutes each group
         names = base.names + tuple("t:%d" % p for p in range(m))
         subst = {v: ext(p) for v, p in base.substitutions.items()}
-        memo["ring"] = GradedRing(names, (), base.eliminate, subst, fan=f)
+        memo["ring"] = GradedRing(names, (), base.eliminate, subst)
     sub = memo["ring"]
 
     def mono(*idx):
@@ -223,16 +189,6 @@ def _assemble(model, nested, lift_rel):
         if key not in memo:
             memo[key] = substituted(build(*args))
         return memo[key]
-
-    def shared():
-        for s in minimal_nonfaces(f):
-            yield "SR", {"rays": list(s)}, mono(*s)
-        for i in range(n):
-            p = {}
-            for r in range(nc):
-                if f.rays[r][i]:
-                    p = padd(p, pvar(r, nvars, f.rays[r][i]))
-            yield "linear", {"coordinate": i}, p
 
     def tc():
         for i in range(m):
@@ -287,7 +243,7 @@ def _assemble(model, nested, lift_rel):
                 yield "F", prov, poly
 
     dead = _dead_rays(f, building, nested)
-    pairs = list(kept("shared", shared))
+    pairs = list(kept("shared", toric_relations, f, nvars))
     pairs += substituted(("stratum_c", {"ray": r}, pvar(r, nvars)) for r in dead)
     pairs += kept("tc", tc)
     for i in range(m):
@@ -298,7 +254,7 @@ def _assemble(model, nested, lift_rel):
 
     groups = tuple(g for g, _ in pairs)
     ring = GradedRing(
-        sub.names, [t for _, _, t in groups], sub.eliminate, sub.substitutions, fan=f,
+        sub.names, [t for _, _, t in groups], sub.eliminate, sub.substitutions,
         substituted=[s for _, s in pairs if s],
     )
     return base, ring, groups
@@ -328,13 +284,13 @@ def stratum_ideal(model, nested, *, lift_rel=None):
 
 
 def assemble_model_ideal(f, building, *, lift_rel=None):
-    """model_ideal of a fan and building set, validated first."""
-    return model_ideal(validated_model(f, building), lift_rel=lift_rel)
+    """model_ideal of a fan and building set; Model checks the fan."""
+    return model_ideal(Model(f, building), lift_rel=lift_rel)
 
 
 def assemble_stratum_ideal(f, building, nested, *, lift_rel=None):
-    """stratum_ideal of a fan and building set, validated first."""
-    return stratum_ideal(validated_model(f, building), nested, lift_rel=lift_rel)
+    """stratum_ideal of a fan and building set; Model checks the fan."""
+    return stratum_ideal(Model(f, building), nested, lift_rel=lift_rel)
 
 
 def stratum_size(pres):

@@ -6,14 +6,13 @@ from _oracles import nested_plus_reference
 from wondertoric.building import (
     building_set,
     induced_building_on,
-    induced_poset,
     is_nested,
     is_nested_plus,
     order_refining_inclusion,
     validate_building,
     validate_well_connected,
 )
-from wondertoric.errors import NotBuilding, NotLast
+from wondertoric.errors import NotBuilding
 from wondertoric.fans import fan
 from wondertoric.layers import build_layer_poset, intersect_layers, layer
 
@@ -100,42 +99,32 @@ def test_prefixes_are_building():
 def test_induced_building_coordinate_case():
     g = building_set(COORD)
     z = g.members[-1]
-    got = induced_building_on(z, g)
+    got = induced_building_on(COORD, g.members[:-1], z)
     pt = point_ids(COORD)[0]
     assert got == [(pt, 0)]
-    with pytest.raises(NotLast):
-        induced_building_on(pt, g)
 
 
 def test_induced_building_empty_and_chain():
     apart = build_layer_poset([X1, layer([(1, 0)], ["1/2"], 2)])
     g = building_set(apart)
-    assert induced_building_on(g.members[-1], g) == []
+    assert induced_building_on(apart, g.members[:-1], g.members[-1]) == []
 
     pt = layer([(1, 0), (0, 1)], [0, 0], 2)
     chain = build_layer_poset([pt, X1])
     g = building_set(chain)
     z = g.members[-1]
-    got = induced_building_on(z, g)
+    got = induced_building_on(chain, g.members[:-1], z)
     assert got == [(chain.index_of(pt), 0)]
 
 
 def test_induced_family_is_building_for_its_arrangement():
     g = building_set(COORD)
     z = g.members[-1]
-    hs = [COORD.elements[i] for i, _ in induced_building_on(z, g)]
+    hs = [COORD.elements[i] for i, _ in induced_building_on(COORD, g.members[:-1], z)]
     sub = build_layer_poset(hs)
     ids = [sub.index_of(h) for h in hs]
     assert validate_building(ids, sub).ok
     assert validate_well_connected(ids, sub).ok
-
-
-def test_induced_poset_strictly_below():
-    g = building_set(COORD)
-    z = g.members[-1]
-    sub = induced_poset(COORD, z)
-    assert len(sub.elements) == 1
-    assert sub.elements[0].codim == 2
 
 
 def test_is_nested_examples():

@@ -268,7 +268,6 @@ def test_empty_arrangement_lists_base_ring_alone(tmp_path):
 # the model preconditions and the validators they are made of
 VALIDATORS = (
     "check_model_preconditions",
-    "check_good_fan",
     "validate_building",
     "validate_well_connected",
     "validate_good",
@@ -305,9 +304,8 @@ def test_each_command_validates_the_model_once(
     argv = [command, "--input", golden_path(stem + ".job.json")]
     clear_caches()  # cold: no model kept from an earlier request
     assert run_to_bytes(argv, tmp_path)[0] == 0
-    assert calls["check_model_preconditions"] == 0
     assert calls["validate_building"] == calls["validate_well_connected"] == 1
-    assert calls["check_good_fan"] == calls["validate_good"] == int(runs_good)
+    assert calls["check_model_preconditions"] == calls["validate_good"] == int(runs_good)
     # warm: an identical request reuses the kept model and validates nothing
     calls.clear()
     assert run_to_bytes(argv, tmp_path)[0] == 0

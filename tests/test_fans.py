@@ -72,6 +72,16 @@ def test_factory_rejects_structural_defects():
         fan(3, e3, [(0, 1, 2), (1,), (0, 2)])
 
 
+def test_faces_are_every_cone_once():
+    assert P2.faces == {(), (0,), (1,), (2,), (0, 1), (1, 2), (0, 2)}
+    assert fan(0, (), ((),)).faces == {()}
+    # a subdivision's faces are its own: the star of ray 4 replaces (0, 2)
+    before = P1xP1.faces
+    sub = stellar_subdivide(P1xP1, (0, 2), (1, 1))
+    assert {s for s in sub.faces if 4 not in s} == before - {(0, 2)}
+    assert (0, 4) in sub.faces and P1xP1.faces == before
+
+
 def test_smoothness_reports():
     assert validate_smooth(P1).ok
     assert validate_smooth(P1xP1).ok

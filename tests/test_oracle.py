@@ -12,7 +12,7 @@ from wondertoric.building import BuildingSet, building_set
 from wondertoric.errors import InvariantViolated, NotGood
 from wondertoric.fans import fan, search_good_fan
 from wondertoric.layers import build_layer_poset, layer
-from wondertoric.oracle import _stage_betti, blowup_plan, keel_step, model_betti, verify
+from wondertoric.oracle import _induced_members, _stage_betti, keel_step, model_betti, verify
 from wondertoric.present import assemble_model_ideal, hilbert_function
 
 P1 = fan(1, ((1,), (-1,)), ((0,), (1,)))
@@ -179,19 +179,20 @@ def test_model_betti_nested_recursion_matches_presentation_prefix():
 
 
 def test_blowup_plan_structure():
+    # the top-level blowup sequence: one center per ordered member, each
+    # carrying the arrangement the earlier members induce on it
     poset = skew_poset()
-    good = skew_good_fan(poset)
     b = building_set(poset)
-    plan = blowup_plan(good, b)
-    assert [s.member_id for s in plan.steps] == list(b.members)
-    assert [s.codim for s in plan.steps] == [2, 2, 1, 1]
+    ids = b.members
+    induced = [_induced_members(poset, ids[:pos], z) for pos, z in enumerate(ids)]
+    assert [poset.elements[z].codim for z in ids] == [2, 2, 1, 1]
     # first point sees nothing, second meets the first in nothing
-    assert plan.steps[0].induced == ()
-    assert plan.steps[1].induced == ()
+    assert induced[0] == ()
+    assert induced[1] == ()
     # each curve contains both points; the other curve meets it in the two
     # points, a disconnected intersection, so it drops out of the induced set
-    assert plan.steps[2].induced == tuple(b.members[:2])
-    assert plan.steps[3].induced == tuple(b.members[:2])
+    assert induced[2] == tuple(ids[:2])
+    assert induced[3] == tuple(ids[:2])
 
 
 def test_verify_pass():

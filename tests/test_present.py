@@ -29,6 +29,7 @@ from wondertoric.fans import fan, rays_in_kernel, search_good_fan, validate_good
 from wondertoric.jobs import job_building, job_poset, load_job
 from wondertoric.layers import build_layer_poset, layer, torus
 from wondertoric.present import (
+    Model,
     ModelPresentation,
     assemble_model_ideal,
     assemble_stratum_ideal,
@@ -39,7 +40,6 @@ from wondertoric.present import (
     presentation_to_dict,
     stratum_ideal,
     stratum_size,
-    validated_model,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -180,18 +180,19 @@ def test_not_good_fan():
     poset = build_layer_poset([layer([[1, -1]], [0], 2)])
     b = building_set(poset)
     with pytest.raises(NotGood):
+        Model(P1XP1, b)
+    with pytest.raises(NotGood):
         assemble_model_ideal(P1XP1, b)
 
 
 def test_bad_order_and_bad_building():
     b = three_member_building()
     poset = b.poset
-    swapped = BuildingSet(poset, (b.members[1], b.members[0], b.members[2]))
+    # a BuildingSet checks itself when made, before any model sees it
     with pytest.raises(BadOrder):
-        assemble_model_ideal(P1XP1, swapped)
-    pt_only = BuildingSet(poset, tuple(i for i in b.members if poset.elements[i].codim == 2))
+        BuildingSet(poset, (b.members[1], b.members[0], b.members[2]))
     with pytest.raises(NotBuilding):
-        assemble_model_ideal(P1XP1, pt_only)
+        BuildingSet(poset, tuple(i for i in b.members if poset.elements[i].codim == 2))
 
 
 def perturbing_lift(g, mlayer, ring, f):
@@ -229,7 +230,7 @@ def counting_lift(seen):
 
 
 def test_a_model_lifts_each_pair_once_across_presentations():
-    model = validated_model(P1XP1, three_member_building())
+    model = Model(P1XP1, three_member_building())
     first = model_ideal(model)
     pairs = dict(model.lifts)
     base = model.base
@@ -245,7 +246,7 @@ def test_a_model_lifts_each_pair_once_across_presentations():
 
 
 def test_a_caller_lift_sees_every_pair_after_a_warm_model():
-    model = validated_model(P1XP1, three_member_building())
+    model = Model(P1XP1, three_member_building())
     model_ideal(model)
     kept = dict(model.lifts)
     seen = []
@@ -263,7 +264,7 @@ def test_a_caller_lift_sees_every_pair_after_a_warm_model():
 def test_a_cold_model_ideal_hashes_no_fraction(monkeypatch):
     # a Layer's hash is its Fractions' hashes: the memos key by element ids
     f, b = golden_fan_and_building("cube_planes")
-    model = validated_model(f, b)
+    model = Model(f, b)
     for name in ("chern", "fans", "lattice", "layers"):
         for fn in vars(importlib.import_module("wondertoric." + name)).values():
             if hasattr(fn, "cache_clear"):
@@ -278,7 +279,7 @@ def test_a_cold_model_ideal_hashes_no_fraction(monkeypatch):
 
 
 def test_the_lift_memo_is_not_a_constructor_argument():
-    model = validated_model(P1XP1, three_member_building())
+    model = Model(P1XP1, three_member_building())
     for memo in ("lifts", "assembled"):
         with pytest.raises(TypeError):
             type(model)(model.fan, model.building, **{memo: {}})
@@ -320,7 +321,7 @@ def test_a_kept_model_assembles_every_stratum_like_a_cold_one(data):
     f, b = golden_fan_and_building(stem)
     sets = [nested_set(t, r) for t, r in nested_plus_sets(b, f)]
     order = data.draw(st.permutations(sets), label="order")
-    model = validated_model(f, b)
+    model = Model(f, b)
     for nested in order:
         # a model presentation, or a hooked stratum that must keep its
         # lifts and groups out of the Model's memo
@@ -340,7 +341,7 @@ def test_a_kept_model_assembles_every_stratum_like_a_cold_one(data):
 
 def test_a_caller_cannot_change_the_kept_groups():
     f, b = golden_fan_and_building("p1xp1_curves")
-    model = validated_model(f, b)
+    model = Model(f, b)
     point_curve = nested_set(members=[0, 2])
     want = dumps(presentation_to_dict(cold_stratum("p1xp1_curves", point_curve)[0]))
     first = stratum_ideal(model, point_curve)

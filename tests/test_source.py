@@ -104,3 +104,46 @@ def test_one_coefficient_order_and_no_bound_knob():
                 assigned.append(name)
     assert params == []
     assert assigned == ["fans.py"]
+
+
+def _calls(tree):
+    """Names of the functions and classes the module calls."""
+    return {
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_each_precondition_check_has_one_home():
+    # a BuildingSet checks itself when made, a Model checks the fan
+    homes = {
+        "validate_building": "building.py",
+        "validate_well_connected": "building.py",
+        "BuildingSet": "building.py",
+        "check_model_preconditions": "present.py",
+    }
+    found, params = [], []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        tree = _parse(name)
+        found += ["%s calls %s" % (name, c) for c in sorted(_calls(tree) & set(homes)) if homes[c] != name]
+        params += [name for node in ast.walk(tree) if isinstance(node, ast.arg) and node.arg == "building_checked"]
+    assert found == []
+    assert params == []
+
+
+def test_no_unused_imports_in_the_package():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        tree = _parse(name)
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += ["%s:%d %s" % (name, line, b) for b, line in sorted(bound.items()) if b not in used]
+    assert found == []
