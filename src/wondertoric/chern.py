@@ -10,11 +10,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvariantViolated, NoBasis, NotContained
+from .errors import InvariantViolated, NoBasis
 from .fans import COEFF_ORDER, find_equal_sign_basis, one_signed, pairing
 from .cohomology import GradedRing, padd, pconst, pmul
 from .lattice import adapted_basis
-from .layers import layer_inclusion, torus
+from .layers import torus
 
 
 def divisor_class_raw(beta, f, nvars):
@@ -45,9 +45,6 @@ class LiftedChernPoly:
     def coeff_polys(self):
         return [c.poly() for c in self.coefficients]
 
-    def constant_term(self):
-        return self.coefficients[0]
-
 
 def product_of_linear_factors(factors, ring):
     """Coefficient list (constant first) of prod_j (t + a_j)."""
@@ -76,7 +73,8 @@ def equal_sign_adapted_basis(f, g_lat, m_lat):
     The m part comes from the plain equal-sign search; the completion is the
     HNF-adapted one, each vector corrected by a sign and by combinations of
     the m part with coefficients in COEFF_ORDER when it fails the sign
-    condition.  Raises NoBasis when no such correction works.
+    condition.  Raises NoBasis when no such correction works.  The lattices
+    meet the precondition of lattice.adapted_basis, which is not checked.
     """
     if m_lat.rank == 0:
         basis = find_equal_sign_basis(f, g_lat)
@@ -112,9 +110,10 @@ def lift_chern_absolute(G, ring, f):
 
 
 def lift_chern_relative(G, M, ring, f):
-    """Relative version for a pair G inside M; degree codim(G) - codim(M)."""
-    if not layer_inclusion(G, M):
-        raise NotContained("relative lifting needs nested layers")
+    """Relative version for a pair G inside M; degree codim(G) - codim(M).
+
+    Precondition, not checked here: G lies in M, and both are elements of
+    one LayerPoset (so their lattices are saturated) or M is the torus."""
     basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma)
     factors = [divisor_class_raw(b, f, ring.nvars) for b in basis[k:]]
     return make_lifted(factors, ring)
@@ -122,9 +121,8 @@ def lift_chern_relative(G, M, ring, f):
 
 def lift_chern_pair(G, M, ring, f):
     """(P_G, P_M, P_G_rel) computed from one shared adapted basis, so the
-    factorization P_G = P_M * P_G_rel holds on the nose."""
-    if not layer_inclusion(G, M):
-        raise NotContained("relative lifting needs nested layers")
+    factorization P_G = P_M * P_G_rel holds on the nose.  Same precondition
+    as lift_chern_relative."""
     basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma)
     factors = [divisor_class_raw(b, f, ring.nvars) for b in basis]
     p_g = make_lifted(factors, ring)

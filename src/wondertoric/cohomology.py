@@ -28,8 +28,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import InvariantViolated, NotValidated
-from .fans import induced_fan, rays_in_kernel, validate_complete, validate_smooth
+from .errors import InvariantViolated
+from .fans import induced_fan, rays_in_kernel
 from .lattice import RowEchelon, hermite_normal_form, kernel_basis, solve_in_lattice
 
 # ---------------------------------------------------------------------------
@@ -396,13 +396,9 @@ def toric_relations(f, nvars):
 
 def danilov_ring(f):
     """Presentation of the integer cohomology of the toric variety of a
-    validated smooth complete fan, on one generator per ray."""
-    smooth = validate_smooth(f)
-    complete = validate_complete(f)
-    if not (smooth.ok and complete.ok):
-        raise NotValidated(
-            "fan must be smooth and complete: %r" % (smooth.failures + complete.failures,)
-        )
+    smooth complete fan, on one generator per ray.  Precondition, not
+    checked here: the fan is smooth and complete, as the fan of a Model
+    (its goodness check covers both) and the fans induced from it are."""
     nvars = len(f.rays)
     names = tuple("c:%d" % i for i in range(nvars))
     relations = [p for _, _, p in toric_relations(f, nvars)]

@@ -5,14 +5,6 @@ class WonderError(Exception):
     """Base class for all validation and computation failures."""
 
 
-class NotContained(WonderError):
-    pass
-
-
-class NotSaturated(WonderError):
-    pass
-
-
 class MalformedFan(WonderError):
     pass
 
@@ -30,10 +22,6 @@ class NotSplit(WonderError):
 
 
 class CycleDetected(WonderError):
-    pass
-
-
-class NotValidated(WonderError):
     pass
 
 

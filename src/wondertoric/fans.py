@@ -312,19 +312,6 @@ def one_signed(f, chi):
     return not any(_mixed(signs, c) for c in f.max_cones)
 
 
-def equal_sign_check(f, basis):
-    """Each basis character must pair with the rays of any single cone using
-    one sign only (the sign may differ between cones and characters)."""
-    signs = [_signs(chi, f.rays) for chi in basis]
-    bad = tuple(
-        ("mixed_signs", c, bi)
-        for c in f.max_cones
-        for bi, sg in enumerate(signs)
-        if _mixed(sg, c)
-    )
-    return Report(not bad, bad)
-
-
 def _candidates(lat):
     """(combo, chi): the characters chi = combo . canonical basis of lat for
     primitive combos over COEFF_ORDER, in product order (simple first)."""
@@ -362,7 +349,7 @@ def _pick_basis(s, candidates):
 
 @functools.lru_cache(maxsize=FAN_CACHE_SIZE)
 def find_equal_sign_basis(f, lat):
-    """Search a basis of lat that passes equal_sign_check, or return None:
+    """Search a basis of lat whose characters are each one_signed, or None:
     the first unimodular subset of the one-signed candidates, each tested
     only when the pick reaches it."""
     return _pick_basis(lat.rank, (cand for cand in _candidates(lat) if one_signed(f, cand[1])))
@@ -389,7 +376,10 @@ def induced_fan(f, lat):
 
     Cones are the cones of f lying inside that subspace, with rays rewritten
     in the canonical basis of the kernel sublattice.  Requires face
-    compatibility; raises NotCompatible otherwise.
+    compatibility; raises NotCompatible otherwise.  Built as a Fan, as
+    stellar_subdivide builds one: faces of the simplicial cones of a fan, in
+    coordinates of the saturated kernel lattice, keep every invariant that
+    fan() checks.  When f is smooth and complete, so is the result.
     """
     compat = cone_face_compat(f, lat)
     if not compat.ok:
@@ -406,7 +396,7 @@ def induced_fan(f, lat):
             sub_cones.append(sc)
     maximal = [c for c in sub_cones if not any(set(c) < set(d) for d in sub_cones)]
     if maximal == [()]:
-        return fan(0, (), ((),))
+        return Fan(0, (), ((),))
     used = sorted({i for c in maximal for i in c})
     new_rays = []
     for i in used:
@@ -416,7 +406,7 @@ def induced_fan(f, lat):
         new_rays.append(y)
     renumber = {old: new for new, old in enumerate(used)}
     cones = sorted(tuple(sorted(renumber[i] for i in c)) for c in maximal)
-    return fan(new_rank, new_rays, cones)
+    return Fan(new_rank, tuple(new_rays), tuple(cones))
 
 
 def relint_coords(f, cone, vec):
@@ -485,15 +475,6 @@ def stellar_subdivide(f, cone, new_ray):
             cones.append(c)
     # the parent is a validated fan and only the star's cones are new
     return Fan(f.rank, rays, tuple(cones))
-
-
-def canonicalize(f):
-    """Relabel rays in lexicographic order and sort the max cones."""
-    order = sorted(range(len(f.rays)), key=lambda i: f.rays[i])
-    renumber = {old: new for new, old in enumerate(order)}
-    rays = [f.rays[i] for i in order]
-    cones = sorted(tuple(sorted(renumber[i] for i in c)) for c in f.max_cones)
-    return fan(f.rank, rays, cones)
 
 
 def first_equal_sign_violation(f, lat, signs=None):

@@ -99,11 +99,13 @@ def job_from_dict(doc):
     for i, ld in enumerate(doc["layers"]):
         _expect(isinstance(ld, dict), "layer %d must be an object", i)
         try:
-            layers.append(layer_from_dict(ld, rank))
+            lay = layer_from_dict(ld, rank)
         except WonderError:
             raise
         except Exception as exc:
             raise SchemaError("bad layer %d: %s" % (i, exc))
+        _expect(lay.codim, "layer %d has no characters: it is the whole torus", i)
+        layers.append(lay)
 
     building = doc.get("building", "all")
     if building == "all":

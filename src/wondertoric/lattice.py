@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotContained, NotSaturated
-
 # Entries per memoised kernel.  The keys are small int tuples; a 25 s run of
 # any benchmark workload leaves at most 160 entries in each.
 CACHE_SIZE = 1024
@@ -381,16 +379,11 @@ class AdaptedBasis:
 def adapted_basis(g_lat, m_lat):
     """Basis b1..bs of g_lat whose first k rows are a basis of m_lat.
 
-    Both lattices must be saturated and m_lat must sit inside g_lat.  The
-    result is deterministic: the m-part is m_lat's HNF basis and the
-    completion is Hermite-reduced against it.
+    Precondition, not checked here: both lattices are saturated and m_lat
+    sits inside g_lat, as for the lattices of a layer G inside a layer M of
+    one LayerPoset.  The result is deterministic: the m-part is m_lat's HNF
+    basis and the completion is Hermite-reduced against it.
     """
-    if not is_split_summand(g_lat):
-        raise NotSaturated("larger lattice is not saturated")
-    if not is_split_summand(m_lat):
-        raise NotSaturated("smaller lattice is not saturated")
-    if not g_lat.contains(m_lat):
-        raise NotContained("smaller lattice is not inside the larger one")
     s, k = g_lat.rank, m_lat.rank
     if k == s:
         return AdaptedBasis(m_lat.basis, k)

@@ -135,7 +135,9 @@ def intersect_layers(layers):
 class LayerPoset:
     """Layers closed under the components of pairwise, and so of all,
     intersections.  Elements are connected, so the components of a meet of
-    elements are the maximal elements below all of them."""
+    elements are the maximal elements below all of them.  Every element's
+    lattice is saturated: build_layer_poset refuses an unsaturated input,
+    and each intersection lies on a saturation."""
 
     elements: tuple  # Layers, sorted by (codim, basis, phi)
     inclusion: tuple  # inclusion[i][j] == elements[i] contained in elements[j]

@@ -212,6 +212,20 @@ def test_floats_and_bools_exit_2(command, fan_doc, layer_doc, tmp_path, capsys):
     assert std.err.startswith("schema error: ")
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_layer_with_no_characters_exits_2(command, tmp_path, capsys):
+    # the whole torus is no layer of an arrangement: refused as input, not
+    # blamed on the program later
+    doc = json.load(open(golden_path("p1xp1_coordinate.job.json")))
+    doc["layers"].append({"gamma": [], "phi": []})
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == 2
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err == "schema error: layer 2 has no characters: it is the whole torus\n"
+
+
 @pytest.mark.parametrize("where", ["directory", "missing_parent"])
 def test_unwritable_output_is_a_schema_error(where, tmp_path, capsys):
     out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"

@@ -19,7 +19,7 @@ from wondertoric.cohomology import (
     restriction_map,
     toric_elimination,
 )
-from wondertoric.errors import InvariantViolated, NotValidated
+from wondertoric.errors import InvariantViolated
 from wondertoric.fans import fan, primitive, stellar_subdivide
 from wondertoric.jobs import load_job
 from wondertoric.lattice import sublattice
@@ -52,15 +52,6 @@ def test_danilov_relations_p1xp1():
         {(0, 0, 1, 0): 1, (0, 0, 0, 1): -1},
     ]
     assert rels == {canon_terms(p) for p in expected}
-
-
-def test_danilov_requires_validated_fan():
-    half = fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (1, 2), (1, 3)])
-    with pytest.raises(NotValidated):
-        danilov_ring(half)
-    lumpy = fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(NotValidated):
-        danilov_ring(lumpy)
 
 
 def test_graded_ranks_match_h_vectors():

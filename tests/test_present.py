@@ -25,9 +25,18 @@ from wondertoric.errors import (
     NotNested,
 )
 from wondertoric.cli import dumps
-from wondertoric.fans import fan, rays_in_kernel, search_good_fan, validate_good
+from wondertoric.fans import (
+    fan,
+    induced_fan,
+    rays_in_kernel,
+    search_good_fan,
+    validate_complete,
+    validate_good,
+    validate_smooth,
+)
 from wondertoric.jobs import job_building, job_poset, load_job
-from wondertoric.layers import build_layer_poset, layer, torus
+from wondertoric.lattice import elementary_divisors
+from wondertoric.layers import build_layer_poset, layer, layer_inclusion, torus
 from wondertoric.present import (
     Model,
     ModelPresentation,
@@ -337,6 +346,43 @@ def test_a_kept_model_assembles_every_stratum_like_a_cold_one(data):
         assert warm.ring.substituted_relations() == subbed
         assert hilbert_function(warm) == hilbert
         assert ideal_equal_up_to(warm, cold, f.rank - stratum_size(warm))
+
+
+def checked_lift(seen):
+    """A lift hook that asserts, through the reference routes, what
+    lift_chern_relative and adapted_basis take as given: G lies in M and
+    both lattices are saturated.  Then it lifts."""
+
+    def lift(g, mlayer, ring, f):
+        assert layer_inclusion(g, mlayer)
+        for lat in (g.gamma, mlayer.gamma):
+            assert all(d == 1 for d in elementary_divisors(lat.basis))
+        seen.append((g, mlayer))
+        return lift_chern_relative(g, mlayer, ring, f)
+
+    return lift
+
+
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
+def test_every_lift_meets_its_precondition_by_construction(stem):
+    f, b = golden_fan_and_building(stem)
+    model = Model(f, b)
+    seen = []
+    model_ideal(model, lift_rel=checked_lift(seen))
+    for t, r in nested_plus_sets(b, f):
+        stratum_ideal(model, nested_set(t, r), lift_rel=checked_lift(seen))
+    assert seen
+
+
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
+def test_every_induced_fan_passes_fan_unchanged(stem):
+    # induced_fan builds a Fan without fan(); danilov_ring takes it as smooth
+    # and complete
+    f, b = golden_fan_and_building(stem)
+    for e in b.poset.elements:
+        g = induced_fan(f, e.gamma)
+        assert fan(g.rank, g.rays, g.max_cones) == g
+        assert validate_smooth(g).ok and validate_complete(g).ok
 
 
 def test_a_caller_cannot_change_the_kept_groups():
