@@ -127,7 +127,7 @@ class GradedRing:
     `substitutions` maps each of them to its expression in the surviving
     generators.  `substituted`, when the caller has it, is what
     `substituted_relations` would compute.  Standard monomials and slice
-    tables are cached per degree.
+    tables are cached per degree, normal forms per input polynomial.
     """
 
     def __init__(
@@ -151,6 +151,7 @@ class GradedRing:
         self._standard = {}
         self._tables = {}
         self._powers = {}
+        self._normal = {}
 
     # -- substitution ------------------------------------------------------
 
@@ -221,10 +222,12 @@ class GradedRing:
         """The degree-d monomials in surviving vars that no unit-monomial
         relation divides, in the order of `monomials(d)`.
 
-        The set is closed under taking divisors, so it grows from degree d-1
-        one variable at a time: a monomial is standard when it is no unit
-        relation itself and each of its quotients by one variable is
-        standard.
+        The set is closed under taking divisors, so it grows from degree d-1:
+        a monomial is standard when it is no unit relation itself and each of
+        its quotients by one variable is standard, that is when as many pairs
+        (standard m of degree d-1, variable i) reach it as it has variables.
+        Exponents pack into ints in base d + 1, first generator most
+        significant, so descending int order is the order of `monomials(d)`.
         """
         if d not in self._standard:
             units = self._split_relations()[0]
@@ -232,23 +235,21 @@ class GradedRing:
                 zero = (0,) * self.nvars
                 out = [] if zero in units else [zero]
             else:
-                prev = set(self.standard_monomials(d - 1))
-                grown = {
-                    m[:i] + (m[i] + 1,) + m[i + 1 :]
-                    for m in prev
-                    for i in self.surviving
-                }
-                out = [
-                    e
-                    for e in grown
-                    if e not in units
-                    and all(
-                        e[:j] + (k - 1,) + e[j + 1 :] in prev
-                        for j, k in enumerate(e)
-                        if k
-                    )
-                ]
-                out.sort(reverse=True)  # monomials(d) is descending lex order
+                weights = [(d + 1) ** (self.nvars - 1 - i) for i in range(self.nvars)]
+                count, via = {}, {}  # packed monomial: pairs reaching it, one of them
+                for m in self.standard_monomials(d - 1):
+                    packed, support = sum(map(operator.mul, m, weights)), self.nvars - m.count(0)
+                    for i in self.surviving:
+                        k = packed + weights[i]
+                        if k in count:
+                            count[k] += 1
+                        else:
+                            count[k], via[k] = 1, (m, i, support + (not m[i]))
+                out = []
+                for k in sorted(count, reverse=True):
+                    m, i, support = via[k]
+                    if count[k] == support and (e := m[:i] + (m[i] + 1,) + m[i + 1 :]) not in units:
+                        out.append(e)
             self._standard[d] = out
         return self._standard[d]
 
@@ -309,15 +310,17 @@ class GradedRing:
         part against the HNF of its relation slice."""
         if isinstance(p, RingElement):
             p = p.poly()
-        s = self.substitute(p)
-        out = {}
-        for d, part in psplit(s).items():
-            momos, _, ech = self.slice_table(d)
-            reduced = ech.reduce_vector(self.vector_of(part, d))
-            for e, c in zip(momos, reduced):
-                if c:
-                    out[e] = c
-        return RingElement(self, canon_terms(out))
+        key = canon_terms(p)
+        if key not in self._normal:
+            out = {}
+            for d, part in psplit(self.substitute(p)).items():
+                momos, _, ech = self.slice_table(d)
+                reduced = ech.reduce_vector(self.vector_of(part, d))
+                for e, c in zip(momos, reduced):
+                    if c:
+                        out[e] = c
+            self._normal[key] = RingElement(self, canon_terms(out))
+        return self._normal[key]
 
     def is_zero(self, p):
         return self.normal_form(p).is_zero()

@@ -180,12 +180,15 @@ def build_layer_poset(arrangement):
     """Close the arrangement under pairwise component-wise intersection.
 
     Elements are deduplicated Layers sorted canonically; the ambient torus is
-    not included.  Raises NotSplit when an input gamma is not saturated.
+    not included.  Raises ValueError for an empty arrangement or a layer with
+    no characters, NotSplit when an input gamma is not saturated.
     """
     if not arrangement:
         raise ValueError("empty arrangement")
     n = arrangement[0].ambient_rank
-    for l in arrangement:
+    for i, l in enumerate(arrangement):
+        if not l.codim:
+            raise ValueError("layer %d has no characters: it is the whole torus" % i)
         if not is_split_summand(l.gamma):
             raise NotSplit("layer lattice is not saturated: %r" % (l.gamma.basis,))
     pool = list(dict.fromkeys(arrangement))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -26,7 +27,6 @@ from .cohomology import (
     padd,
     pdegree,
     pmul,
-    pmul_mono,
     ppow,
     pvar,
     toric_relations,
@@ -81,7 +81,8 @@ class Model:
     A Model also keeps what every presentation of it shares: the base ring,
     built on first use, the Chern lifts by pair (G, M) of poset ids, and the
     relation groups with their substituted terms, the F groups of member i
-    per nested members above G_i.  Reuse one Model for many presentations."""
+    per nested members above G_i, each t^A times the F base of its lift.
+    Reuse one Model for many presentations."""
 
     fan: object
     building: BuildingSet
@@ -150,9 +151,9 @@ def _plain(x):
 
 def _assemble(model, nested, lift_rel):
     """Relation groups of a model or stratum.  The groups that do not depend
-    on the nested set, and a member's F groups per nested members above it,
-    are built and substituted once per Model, like the lifts; a caller's
-    lift_rel gets fresh memos, so it sees every pair."""
+    on the nested set, a member's F groups per nested members above it, and
+    the F base of each lift are built and substituted once per Model, like
+    the lifts; a caller's lift_rel gets fresh memos, so it sees every pair."""
     f, building, base = model.fan, model.building, model.base
     memo, lifts = (model.assembled, model.lifts) if lift_rel is None else ({}, {})
     lift_rel = lift_rel or lift_chern_relative
@@ -187,7 +188,7 @@ def _assemble(model, nested, lift_rel):
 
     def kept(key, build, *args):
         if key not in memo:
-            memo[key] = substituted(build(*args))
+            memo[key] = tuple(build(*args))
         return memo[key]
 
     def tc():
@@ -197,14 +198,38 @@ def _assemble(model, nested, lift_rel):
                 if r not in inside:
                     yield "tc", {"member": i, "ray": r}, mono(r, nc + i)
 
+    def lifted(i, where, mlayer):
+        """sum_k coeff_k shift_i^k for the lift of (G_i, M), M the poset
+        element `where` or the torus, as (degree, terms, substituted terms):
+        built and substituted once per pair.  F(i, A) is t^A times it."""
+        g = ids[i]
+        key = ("F base", g, where)  # no other key starts with this name
+        if key not in memo:
+            shift = {}  # minus the t_h of the members G_h inside G_i
+            for h in range(m):
+                if incl[ids[h]][g]:
+                    shift = padd(shift, pvar(nc + h, nvars, -1))
+            # poset ids: a Layer would hash its Fractions
+            lifts[g, where] = p = lift_rel(member_layers[i], mlayer, base, f)
+            poly = {}
+            for k, coeff in enumerate(p.coeff_polys()):
+                poly = padd(poly, pmul(ext(coeff), ppow(shift, k, nvars)))
+            t, s = canon_terms(poly), canon_terms(sub.substitute(poly))
+            memo[key] = (pdegree(poly), t, t if s == t else s)
+        return memo[key]
+
+    def times(terms, a):  # t^A times canonical terms: adding e keeps their order
+        if not a:
+            return terms
+        e = [0] * nvars
+        for j in a:
+            e[nc + j] += 1
+        return tuple((tuple(map(operator.add, x, e)), c) for x, c in terms)
+
     def f_groups(i, s_i):
         g_layer, g = member_layers[i], ids[i]
         # members strictly containing G, all of them; s_i: the nested ones
         supersets = [j for j in range(m) if ids[j] != g and incl[g][ids[j]]]
-        shift = {}
-        for h in range(m):
-            if incl[ids[h]][g]:
-                shift = padd(shift, pvar(nc + h, nvars, -1))
         for size in range(len(supersets) + 1):
             for a in itertools.combinations(supersets, size):
                 combo = sorted(set(a) | set(s_i))
@@ -220,32 +245,21 @@ def _assemble(model, nested, lift_rel):
                         )
                     where = holding[0]
                     mlayer = building.poset.elements[where]
-                if (g, where) not in lifts:  # ids: a Layer would hash its Fractions
-                    lifts[g, where] = lift_rel(g_layer, mlayer, base, f)
-                p = lifts[g, where]
-                poly = {}
-                for k, coeff in enumerate(p.coeff_polys()):
-                    piece = pmul(ext(coeff), ppow(shift, k, nvars))
-                    poly = padd(poly, piece)
-                e = [0] * nvars
-                for j in a:
-                    e[nc + j] += 1
-                poly = pmul_mono(poly, tuple(e))
+                degree, terms, subbed = lifted(i, where, mlayer)
+                have = degree + len(a) if terms else 0
                 want = g_layer.codim - mlayer.codim + len(a)
-                if pdegree(poly) != want:
-                    raise InvariantViolated(
-                        "F(%d, %r) has degree %d, not %d"
-                        % (i, list(a), pdegree(poly), want)
-                    )
+                if have != want:
+                    raise InvariantViolated("F(%d, %r) has degree %d, not %d" % (i, list(a), have, want))
+                t = times(terms, a)
                 if ("component", where) not in memo:  # one per layer, shared
                     memo["component", where] = _frozen(layer_to_dict(mlayer))
                 prov = {"member": i, "others": list(a), "component": memo["component", where]}
-                yield "F", prov, poly
+                yield ("F", _frozen(prov), t), t if subbed is terms else times(subbed, a)
 
     dead = _dead_rays(f, building, nested)
-    pairs = list(kept("shared", toric_relations, f, nvars))
+    pairs = list(kept("shared", substituted, toric_relations(f, nvars)))
     pairs += substituted(("stratum_c", {"ray": r}, pvar(r, nvars)) for r in dead)
-    pairs += kept("tc", tc)
+    pairs += kept("tc", substituted, tc())
     for i in range(m):
         s_i = tuple(p for p in nested.members if ids[p] != ids[i] and incl[ids[i]][ids[p]])
         pairs += kept(("F", i, s_i), f_groups, i, s_i)

@@ -14,19 +14,27 @@ with one LP per ray, and the equal-sign searches in the form that pairs a
 character with every ray of every cone and builds a Report per candidate.  The Hermite form and the lattice solve are kept as one batch
 elimination with a transform matrix, and the toric elimination as
 Gauss-Jordan over Fractions.  The echelon engine is kept in its dense-list
-form, and the all-monomial slice references run on it.
+form, and the all-monomial slice references run on it.  Standard monomials
+are grown by tuple slicing, and the F relations are built one polynomial per
+(member, superset choice) from a fresh lift on a fresh base ring.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from wondertoric.chern import lift_chern_relative
 from wondertoric.cohomology import (
     canon_terms,
+    danilov_ring,
     from_terms,
+    padd,
     pdegree,
+    pmul,
     pmul_mono,
+    ppow,
     psplit,
+    pvar,
 )
 from wondertoric.errors import BudgetExhausted, InvariantViolated, NoBasis
 from wondertoric.fans import (
@@ -53,6 +61,8 @@ from wondertoric.layers import (
     closure_nonempty_with_orbit,
     intersect_layers,
     layer_inclusion,
+    layer_to_dict,
+    torus,
 )
 
 
@@ -311,6 +321,68 @@ class FullSlices:
                 if c:
                     out[e] = c
         return canon_terms(out)
+
+
+def standard_monomials_reference(ring, d):
+    """GradedRing.standard_monomials in its tuple-slicing form: grow degree d
+    from degree d-1 one variable at a time, then keep the monomials that are
+    no unit relation and whose quotients by one variable are all standard."""
+    units = {r[0][0] for r in ring.substituted_relations() if len(r) == 1 and abs(r[0][1]) == 1}
+    if d == 0:
+        zero = (0,) * ring.nvars
+        return [] if zero in units else [zero]
+    prev = set(standard_monomials_reference(ring, d - 1))
+    grown = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in prev for i in ring.surviving}
+    out = [
+        e
+        for e in grown
+        if e not in units and all(e[:j] + (k - 1,) + e[j + 1 :] in prev for j, k in enumerate(e) if k)
+    ]
+    return sorted(out, reverse=True)
+
+
+def f_groups_reference(model, nested):
+    """The F groups of a model or stratum presentation, built per (i, A):
+    sum_k coeff_k shift_i^k for a fresh lift of (G_i, M) on a fresh base
+    ring, times t^A, degree-checked.  As (group, provenance, terms) triples
+    in the order of present._assemble, provenance in its JSON form."""
+    f, building = model.fan, model.building
+    base = danilov_ring(f)
+    m, nc = building.size, len(f.rays)
+    nvars = nc + m
+    ids, incl = building.members, building.poset.inclusion
+    out = []
+    for i in range(m):
+        g_layer, g = building.member_layer(i), ids[i]
+        s_i = [p for p in nested.members if ids[p] != g and incl[g][ids[p]]]
+        supersets = [j for j in range(m) if ids[j] != g and incl[g][ids[j]]]
+        shift = {}
+        for h in range(m):
+            if incl[ids[h]][g]:
+                shift = padd(shift, pvar(nc + h, nvars, -1))
+        for size in range(len(supersets) + 1):
+            for a in itertools.combinations(supersets, size):
+                combo = sorted(set(a) | set(s_i))
+                if combo:
+                    comps = building.poset.meet([ids[j] for j in combo])
+                    (where,) = [k for k in comps if incl[g][k]]
+                    mlayer = building.poset.elements[where]
+                else:
+                    mlayer = torus(f.rank)
+                lift = lift_chern_relative(g_layer, mlayer, base, f)
+                poly = {}
+                for k, coeff in enumerate(lift.coeff_polys()):
+                    ext = {e + (0,) * m: c for e, c in coeff.items()}
+                    poly = padd(poly, pmul(ext, ppow(shift, k, nvars)))
+                e = [0] * nvars
+                for j in a:
+                    e[nc + j] += 1
+                poly = pmul_mono(poly, tuple(e))
+                if pdegree(poly) != g_layer.codim - mlayer.codim + len(a):
+                    raise InvariantViolated("F(%d, %r) has degree %d" % (i, list(a), pdegree(poly)))
+                prov = {"member": i, "others": list(a), "component": layer_to_dict(mlayer)}
+                out.append(("F", prov, canon_terms(poly)))
+    return out
 
 
 def restriction_kernel_reference(rmap, kernel_gens, max_degree):

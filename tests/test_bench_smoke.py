@@ -1,6 +1,8 @@
 """One short benchmark run per assembly path.  The untraced run reuses the
 kept model across its stratum requests; the traced replay assembles through
-lift_rel=, on fresh memos.  The oracle_repair runs cover the search through
+lift_rel=, on fresh memos.  The model_rank3 runs cover the cube model's
+`check`, which the traced replay reaches through lift_rel=, the slice
+tables, the substituted relations and the monomials.  The oracle_repair runs cover the search through
 `goodfan --search` and, traced, through search_good_fan directly.  Records
 go to the git-ignored .bench_out/."""
 
@@ -24,6 +26,11 @@ def bench_result(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     return result
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_model_rank3_round_is_correct(trace):
+    assert bench_result("model_rank3", trace)["failed"] == 0
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])

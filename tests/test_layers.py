@@ -115,6 +115,15 @@ def test_poset_rejects_unsaturated():
         build_layer_poset([bad])
 
 
+def test_poset_rejects_a_layer_with_no_characters():
+    # the whole torus is no layer of an arrangement: it would give the poset
+    # a codimension-0 element, and its model a top degree of rank 0
+    with pytest.raises(ValueError, match="layer 1 has no characters"):
+        build_layer_poset([X1, layer([], [], 2)])
+    with pytest.raises(ValueError, match="layer 0 has no characters"):
+        build_layer_poset([torus(2)])
+
+
 def test_poset_inclusion_monotone_in_codim():
     poset = build_layer_poset([XY, XYI])
     for i, a in enumerate(poset.elements):

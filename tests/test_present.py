@@ -14,8 +14,24 @@ from hypothesis import strategies as st
 
 import wondertoric
 from wondertoric.building import BuildingSet, building_set, nested_plus_sets
-from wondertoric.chern import LiftedChernPoly, lift_chern_relative
-from wondertoric.cohomology import GradedRing, from_terms, pvar
+from _oracles import f_groups_reference
+from wondertoric.chern import (
+    LiftedChernPoly,
+    divisor_class_raw,
+    equal_sign_adapted_basis,
+    lift_chern_relative,
+    product_of_linear_factors,
+)
+from wondertoric.cohomology import (
+    GradedRing,
+    RingElement,
+    canon_terms,
+    danilov_ring,
+    from_terms,
+    padd,
+    ppow,
+    pvar,
+)
 from wondertoric.errors import (
     BadOrder,
     DegreeMismatch,
@@ -383,6 +399,81 @@ def test_every_induced_fan_passes_fan_unchanged(stem):
         g = induced_fan(f, e.gamma)
         assert fan(g.rank, g.rays, g.max_cones) == g
         assert validate_smooth(g).ok and validate_complete(g).ok
+
+
+def plain(x):
+    """A kept provenance value in its JSON form."""
+    if isinstance(x, types.MappingProxyType):
+        return {k: plain(v) for k, v in x.items()}
+    return [plain(v) for v in x] if isinstance(x, tuple) else x
+
+
+def unreduced_lift(g, mlayer, ring, f):
+    """The standard lift with c_v^d - s_v^d added to each coefficient of
+    degree d > 0, v the first eliminated generator and s_v its substitution:
+    zero in the ring, but written in v, so the F bases need substituting."""
+    p = lift_chern_relative(g, mlayer, ring, f)
+    v, coeffs = ring.eliminate[0], []
+    for k, c in enumerate(p.coeff_polys()):
+        d = p.degree - k
+        if d:
+            c = padd(padd(c, {tuple(d * (i == v) for i in range(ring.nvars)): 1}),
+                     {e: -x for e, x in ppow(ring.substitutions[v], d, ring.nvars).items()})
+        coeffs.append(RingElement(ring, canon_terms(c)))
+    return LiftedChernPoly(ring, tuple(coeffs))
+
+
+def check_f_groups(pres, model, nested):
+    got = [(g, plain(prov), t) for g, prov, t in pres.groups if g == "F"]
+    assert got == f_groups_reference(model, nested)
+    # the substituted relations the assembly hands over are the ring's own
+    ring = pres.ring
+    fresh = GradedRing(ring.names, ring.relations, ring.eliminate, ring.substitutions)
+    assert ring.substituted_relations() == fresh.substituted_relations()
+    # t^A times a base written in an eliminated generator substitutes alike
+    unreduced = _assemble_with(model, nested, unreduced_lift).ring
+    assert unreduced.relations != ring.relations
+    assert unreduced.substituted_relations() == ring.substituted_relations()
+
+
+def _assemble_with(model, nested, lift_rel):
+    if nested == nested_set():
+        return model_ideal(model, lift_rel=lift_rel)
+    return stratum_ideal(model, nested, lift_rel=lift_rel)
+
+
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
+def test_f_groups_equal_the_per_relation_reference(stem):
+    f, b = golden_fan_and_building(stem)
+    model = Model(f, b)
+    check_f_groups(model_ideal(model), model, nested_set())
+
+
+def test_f_groups_of_every_curves_stratum_equal_the_reference():
+    f, b = golden_fan_and_building("p1xp1_curves")
+    model = Model(f, b)
+    for t, r in nested_plus_sets(b, f):
+        nested = nested_set(t, r)
+        check_f_groups(stratum_ideal(model, nested), model, nested)
+        # a hooked stratum builds its F bases afresh
+        check_f_groups(stratum_ideal(model, nested, lift_rel=lift_chern_relative), model, nested)
+
+
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
+def test_a_kept_normal_form_is_what_a_fresh_ring_gives(stem):
+    f, b = golden_fan_and_building(stem)
+    model = Model(f, b)
+    model_ideal(model)
+    ring, elements = model.base, b.poset.elements
+    for (g, where), lift in model.lifts.items():
+        m_lat = (torus(f.rank) if where is None else elements[where]).gamma
+        basis, k = equal_sign_adapted_basis(f, elements[g].gamma, m_lat)
+        factors = [divisor_class_raw(v, f, ring.nvars) for v in basis[k:]]
+        coeffs = product_of_linear_factors(factors, ring)
+        assert len(coeffs) == len(lift.coefficients)
+        for c, kept in zip(coeffs, lift.coefficients):
+            assert ring.normal_form(c) is kept  # read from the ring's memo
+            assert kept.terms == danilov_ring(f).normal_form(c).terms
 
 
 def test_a_caller_cannot_change_the_kept_groups():

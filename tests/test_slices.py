@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import FullSlices, restriction_kernel_reference
-from wondertoric.building import building_set
+from _oracles import FullSlices, restriction_kernel_reference, standard_monomials_reference
+from wondertoric.building import building_set, nested_plus_sets
 from wondertoric.cohomology import (
     GradedRing,
     danilov_ring,
@@ -28,11 +28,14 @@ from wondertoric.fans import fan, rays_in_kernel, search_good_fan, validate_good
 from wondertoric.jobs import job_building, job_poset, load_job
 from wondertoric.layers import build_layer_poset, layer
 from wondertoric.present import (
+    Model,
     ModelPresentation,
     assemble_model_ideal,
     assemble_stratum_ideal,
     ideal_equal_up_to,
+    model_ideal,
     nested_set,
+    stratum_ideal,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -276,3 +279,44 @@ def test_cube_normal_form_of_random_polynomials(data):
     assert nf.terms == ref.normal_form(p)
     # the representative is canonical: reducing it again changes nothing
     assert pres.ring.normal_form(nf.poly()).terms == nf.terms
+
+
+# -- standard monomials by counting ------------------------------------------
+
+
+@st.composite
+def unit_monomial_rings(draw):
+    """A ring on up to 8 generators whose relations are monomials of degree
+    at most 4, most with coefficient +-1 (units), some with +-2 (rows); some
+    generators are eliminated, each to zero or to +- a surviving one."""
+    nvars = draw(st.integers(1, 8))
+    exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).map(tuple)
+    relations = [
+        {e: draw(st.sampled_from((-2, -1, 1, 1, 2)))}
+        for e in draw(st.lists(exps.filter(lambda e: sum(e) <= 4), max_size=8))
+    ]
+    eliminate = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    surviving = [i for i in range(nvars) if i not in eliminate]
+    subst = {}
+    for v in eliminate:
+        j = draw(st.sampled_from([None] + surviving))
+        subst[v] = {} if j is None else pvar(j, nvars, draw(st.sampled_from((-1, 1))))
+    return GradedRing(["x%d" % i for i in range(nvars)], relations, sorted(eliminate), subst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring=unit_monomial_rings())
+def test_standard_monomials_equal_the_tuple_slicing_reference(ring):
+    for d in range(6):
+        assert ring.standard_monomials(d) == standard_monomials_reference(ring, d), d
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_golden_standard_monomials_equal_the_reference(stem):
+    f, _, pres = golden_model(stem)
+    model = Model(f, pres.building)
+    rings = [model_ideal(model).ring]
+    rings += [stratum_ideal(model, nested_set(t, r)).ring for t, r in nested_plus_sets(pres.building, f)]
+    for ring in rings:
+        for d in range(f.rank + 2):
+            assert ring.standard_monomials(d) == standard_monomials_reference(ring, d), d

@@ -166,3 +166,22 @@ def test_every_error_class_is_raised_in_the_package():
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert "WonderError" in classes
     assert [c for c in classes if c != "WonderError" and c not in raised] == []
+
+
+def test_ring_and_model_memos_hang_off_their_objects():
+    # a memo in the ring, lift or assembly code lives and dies with its
+    # GradedRing or Model: no process-wide cache and no module-level dict
+    memo_types = {"dict", "defaultdict", "OrderedDict", "Counter", "WeakKeyDictionary", "WeakValueDictionary"}
+    found = []
+    for name in ("cohomology.py", "chern.py", "present.py"):
+        tree = _parse(name)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        found += ["%s uses %s" % (name, n) for n in sorted(names & {"lru_cache", "cache"})]
+        for node in tree.body:
+            value = getattr(node, "value", None) if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            called = getattr(value, "func", None)
+            if isinstance(value, (ast.Dict, ast.DictComp)) or getattr(called, "id", getattr(called, "attr", None)) in memo_types:
+                found.append("%s:%d module-level dict" % (name, node.lineno))
+    assert found == []
