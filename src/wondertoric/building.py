@@ -43,7 +43,7 @@ def validate_building(candidate_ids, poset):
             continue
         if lam.codim != sum(poset.elements[i].codim for i in mins):
             bad.append(("not_transversal", idx, tuple(mins)))
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 def antichains(ids, poset, start=-1):
@@ -85,7 +85,7 @@ def validate_well_connected(candidate_ids, poset):
         if len(comps) > 1 and not ids.issuperset(comps):
             bad.append(("stray_component", sub))
     bad.sort(key=lambda fl: (len(fl[1]), fl[1]))
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 def order_refining_inclusion(member_ids, poset):

@@ -10,14 +10,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvariantViolated, NoBasis
+from .errors import NoBasis
 from .fans import COEFF_ORDER, find_equal_sign_basis, one_signed, pairing
 from .cohomology import GradedRing, padd, pconst, pmul
 from .lattice import adapted_basis
-from .layers import torus
 
 
 def divisor_class_raw(beta, f, nvars):
+    """Class of the closure of the character's kernel-translate divisor, as
+    a polynomial on nvars generators, not reduced in any ring."""
     p = {}
     for r, ray in enumerate(f.rays):
         v = min(0, pairing(beta, ray))
@@ -28,19 +29,10 @@ def divisor_class_raw(beta, f, nvars):
     return p
 
 
-def divisor_class(beta, ring, f):
-    """Class of the closure of the character's kernel-translate divisor."""
-    return ring.normal_form(divisor_class_raw(beta, f, ring.nvars))
-
-
 @dataclass(frozen=True)
 class LiftedChernPoly:
     ring: GradedRing
     coefficients: tuple  # RingElement per power of t, constant term first
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
 
     def coeff_polys(self):
         return [c.poly() for c in self.coefficients]
@@ -103,14 +95,11 @@ def equal_sign_adapted_basis(f, g_lat, m_lat):
     return tuple(m_basis) + tuple(corrected), k
 
 
-def lift_chern_absolute(G, ring, f):
-    """Monic degree-codim(G) polynomial lifting the Chern polynomial of the
-    normal bundle of the closure of G; constant term is the dual class."""
-    return lift_chern_relative(G, torus(G.ambient_rank), ring, f)
-
-
 def lift_chern_relative(G, M, ring, f):
-    """Relative version for a pair G inside M; degree codim(G) - codim(M).
+    """Monic degree codim(G) - codim(M) polynomial lifting the Chern
+    polynomial of the normal bundle of the closure of G in that of M.  With
+    M the torus it is the absolute lift, whose constant term is the dual
+    class of G.
 
     Precondition, not checked here: G lies in M, and both are elements of
     one LayerPoset (so their lattices are saturated) or M is the torus."""
@@ -118,22 +107,3 @@ def lift_chern_relative(G, M, ring, f):
     factors = [divisor_class_raw(b, f, ring.nvars) for b in basis[k:]]
     return make_lifted(factors, ring)
 
-
-def lift_chern_pair(G, M, ring, f):
-    """(P_G, P_M, P_G_rel) computed from one shared adapted basis, so the
-    factorization P_G = P_M * P_G_rel holds on the nose.  Same precondition
-    as lift_chern_relative."""
-    basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma)
-    factors = [divisor_class_raw(b, f, ring.nvars) for b in basis]
-    p_g = make_lifted(factors, ring)
-    p_m = make_lifted(factors[:k], ring)
-    p_rel = make_lifted(factors[k:], ring)
-    # coefficient-wise identity of the product
-    prod = [pconst(0, ring.nvars) for _ in range(p_g.degree + 1)]
-    for i, a in enumerate(p_m.coeff_polys()):
-        for j, b in enumerate(p_rel.coeff_polys()):
-            prod[i + j] = padd(prod[i + j], pmul(a, b))
-    for got, want in zip(prod, p_g.coefficients):
-        if ring.normal_form(got).terms != want.terms:
-            raise InvariantViolated("P_G is not P_M * P_G_rel")
-    return p_g, p_m, p_rel

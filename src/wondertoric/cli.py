@@ -9,8 +9,8 @@ search artifacts.
 
 One process may serve many requests through main().  It keeps the last
 model it validated (building set and the Model with its base ring and
-Chern lifts), keyed by the job's fan, layers and building selector, and the
-last layer poset, keyed by the layers alone, so requests on one model (the
+relation groups), keyed by the job's fan, layers and building selector, and
+the last layer poset, keyed by the layers alone, so requests on one model (the
 strata of a sweep, the `betti` after a `goodfan --search`) build it once.  JSON
 documents are rendered by dumps(), which gives the bytes of
 json.dumps(indent=2, sort_keys=True) without its pure-Python encoder.
@@ -142,10 +142,9 @@ def _poly_text(poly, nc, rays):
     return out or "0"
 
 
-def render_text(pres, max_degree=None):
-    """Stable plain-text listing of a presentation (object or JSON document):
-    base ring, variables, relation groups with their tags, Hilbert vector."""
-    doc = pres if isinstance(pres, dict) else presentation_to_dict(pres, max_degree)
+def render_text(doc):
+    """Stable plain-text listing of a presentation's JSON document: base
+    ring, variables, relation groups with their tags, Hilbert vector."""
     fan_doc = doc["base_ring"]["fan"]
     rays = [tuple(r) for r in fan_doc["rays"]]
     nc = len(doc["base_ring"]["names"])

@@ -12,7 +12,7 @@ monomials is free on them, so only the other relations become rows, shifted
 by standard monomials, with their non-standard terms dropped.  The HNF over
 all monomials is a unit row per non-standard monomial plus the HNF over the
 standard ones, so ranks, torsion and `normal_form` are those of the slice
-over all monomials; `GradedRing.full_hnf_rows` rebuilds that HNF.
+over all monomials.
 
 Slice rows are sparse {column: coefficient} dicts that `shifted_rows` builds
 from a relation's terms and a shift: each exponent tuple of a slice packs into
@@ -29,8 +29,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import InvariantViolated
-from .fans import induced_fan, rays_in_kernel
-from .lattice import RowEchelon, hermite_normal_form, kernel_basis, solve_in_lattice
+from .lattice import RowEchelon, solve_in_lattice
 
 # ---------------------------------------------------------------------------
 # polynomial helpers
@@ -111,9 +110,6 @@ def from_terms(terms):
 class RingElement:
     ring: "GradedRing"
     terms: tuple
-
-    def is_zero(self):
-        return not self.terms
 
     def poly(self):
         return from_terms(self.terms)
@@ -286,25 +282,6 @@ class GradedRing:
         index = self.slice_table(d)[1]
         return {index[e]: c for e, c in p.items() if e in index}
 
-    def full_hnf_rows(self, d, rows=None):
-        """HNF over all of `monomials(d)`: a unit row per non-standard
-        monomial plus `rows` (default: the slice's HNF), which live on the
-        standard columns, placed in their columns."""
-        _, index, ech = self.slice_table(d)
-        allmomos = self.monomials(d)
-        width = len(allmomos)
-        where = [j for j, e in enumerate(allmomos) if e in index]
-        by_pivot = {}
-        for j, e in enumerate(allmomos):
-            if e not in index:
-                by_pivot[j] = tuple(int(k == j) for k in range(width))
-        for row in ech.hnf_rows() if rows is None else rows:
-            full = [0] * width
-            for j, c in zip(where, row):
-                full[j] = c
-            by_pivot[where[next(k for k, c in enumerate(row) if c)]] = tuple(full)
-        return [by_pivot[j] for j in sorted(by_pivot)]
-
     def normal_form(self, p):
         """Canonical representative: substitute, then reduce each homogeneous
         part against the HNF of its relation slice."""
@@ -321,9 +298,6 @@ class GradedRing:
                         out[e] = c
             self._normal[key] = RingElement(self, canon_terms(out))
         return self._normal[key]
-
-    def is_zero(self, p):
-        return self.normal_form(p).is_zero()
 
     def graded_rank(self, d):
         momos, _, ech = self.slice_table(d)
@@ -424,88 +398,3 @@ def h_vector_oracle(f):
             h += (-1) ** (k - i) * comb(n - i, k - i) * count.get(i, 0)
         out.append(h)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class RingMap:
-    source: GradedRing
-    target: GradedRing
-    images: tuple  # per source generator: a polynomial in target vars, or None
-
-    def apply(self, p):
-        if isinstance(p, RingElement):
-            p = p.poly()
-        out = {}
-        for e, c in p.items():
-            term = pconst(c, self.target.nvars)
-            dead = False
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if self.images[i] is None:
-                    dead = True
-                    break
-                term = pmul(term, ppow(self.images[i], k, self.target.nvars))
-            if not dead:
-                out = padd(out, term)
-        return out
-
-
-def restriction_map(ring, lat, f):
-    """Surjection onto the cohomology of the layer closure: c_r keeps its
-    class when the ray survives into the induced fan, dies otherwise."""
-    sub_fan = induced_fan(f, lat)
-    target = danilov_ring(sub_fan)
-    inside = sorted(rays_in_kernel(f, lat))
-    position = {r: k for k, r in enumerate(inside)}
-    images = []
-    for r in range(len(f.rays)):
-        if r in position:
-            images.append(pvar(position[r], target.nvars))
-        else:
-            images.append(None)
-    return target, RingMap(ring, target, tuple(images))
-
-
-def kernel_lattice(rmap, d):
-    """HNF basis of the degree-d part of the full kernel lattice: vectors
-    over the source's `monomials(d)` whose image lands in the target
-    relation span."""
-    src, tgt = rmap.source, rmap.target
-    src_momos = src.monomials(d)
-    tgt_momos, _, tgt_ech = tgt.slice_table(d)
-    cols = [tgt.vector_of(tgt.substitute(rmap.apply({e: 1})), d) for e in src_momos]
-    rel_rows = tgt_ech.hnf_rows()
-    # kernel of [images | -relations] projected onto the source coordinates
-    width = len(src_momos) + len(rel_rows)
-    mat = []
-    for row_idx in range(len(tgt_momos)):
-        row = [col.get(row_idx, 0) for col in cols]
-        row += [-r[row_idx] for r in rel_rows]
-        mat.append(row)
-    ker = kernel_basis(mat, width)
-    projected = [row[: len(src_momos)] for row in ker]
-    return hermite_normal_form(projected)
-
-
-def ideal_slice(ring, extra_gens, d):
-    """HNF over `monomials(d)` of the degree-d span of the ring's relations
-    plus extra ideal generators (given as polynomials)."""
-    ech = ring.slice_table(d)[2]
-    gens = [(p.items(), pdegree(p)) for p in map(ring.substitute, extra_gens) if p]
-    span = RowEchelon(ech.ncols, itertools.chain(ech.hnf_rows(), ring.shifted_rows(gens, d)))
-    return tuple(ring.full_hnf_rows(d, span.hnf_rows()))
-
-
-def restriction_kernel_report(rmap, kernel_gens, max_degree):
-    """Check that the stated generators span the kernel of the restriction in
-    every degree up to max_degree.  Exact lattice comparison, no ranks."""
-    from .fans import Report
-
-    bad = []
-    for d in range(1, max_degree + 1):
-        got = tuple(kernel_lattice(rmap, d))
-        want = ideal_slice(rmap.source, kernel_gens, d)
-        if got != want:
-            bad.append(("kernel_mismatch", d))
-    return Report(not bad, tuple(bad))

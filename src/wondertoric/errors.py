@@ -45,10 +45,6 @@ class NotNested(WonderError):
     pass
 
 
-class DegreeMismatch(WonderError):
-    pass
-
-
 class BudgetExhausted(WonderError):
     pass
 

@@ -32,18 +32,19 @@ COEFF_ORDER = (0, 1, -1, 2, -2)
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of a validator: ok flag plus a tuple of failure descriptions."""
+    """Outcome of a validator: a tuple of failure descriptions, ok when it
+    is empty."""
 
-    ok: bool
     failures: tuple = ()
 
-    def __bool__(self):
-        return self.ok
+    @property
+    def ok(self):
+        return not self.failures
 
 
 def merge_reports(*reports):
     fails = tuple(f for r in reports for f in r.failures)
-    return Report(not fails, fails)
+    return Report(fails)
 
 
 @dataclass(frozen=True)
@@ -157,20 +158,20 @@ def validate_smooth(f):
     for c in f.max_cones:
         if c and any(d != 1 for d in elementary_divisors([f.rays[i] for i in c])):
             bad.append(("not_smooth", c))
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 def validate_complete(f):
     """Wall criterion: all max cones full-dimensional, every wall shared by
     exactly two of them, and the wall-adjacency graph connected."""
     if f.rank == 0:
-        return Report(True)
+        return Report()
     bad = []
     for c in f.max_cones:
         if len(c) != f.rank:
             bad.append(("not_full_dimensional", c))
     if bad:
-        return Report(False, tuple(bad))
+        return Report(tuple(bad))
     walls = {}
     for ci, c in enumerate(f.max_cones):
         for drop in c:
@@ -195,7 +196,7 @@ def validate_complete(f):
                     frontier.append(nxt)
         if len(seen) != len(f.max_cones):
             bad.append(("disconnected", len(seen), len(f.max_cones)))
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 def _as_int(x):
@@ -287,7 +288,7 @@ def cone_face_compat(f, lat):
             if out and feasible_nonneg(A, [-v[j] for v in values]):
                 bad.append(("interior_meets_kernel", c, j))
                 break
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 def _signs(chi, rays, start=0, signs=None):
@@ -365,9 +366,9 @@ def validate_good(f, lattices):
         if found and not compat.ok:  # equal-sign success forces compatibility
             raise InvariantViolated("lattice %d: equal signs, faces incompatible" % idx)
         if not found:
-            reports.append(Report(False, (("no_equal_sign_basis", idx),)))
+            reports.append(Report((("no_equal_sign_basis", idx),)))
         if not compat.ok:
-            reports.append(Report(False, tuple(("lattice", idx) + fl for fl in compat.failures)))
+            reports.append(Report(tuple(("lattice", idx) + fl for fl in compat.failures)))
     return merge_reports(*reports)
 
 

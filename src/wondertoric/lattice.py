@@ -321,12 +321,6 @@ class Sublattice:
     def rank(self):
         return len(self.basis)
 
-    def contains_vector(self, v):
-        return solve_in_lattice(self.basis, v) is not None
-
-    def contains(self, other):
-        return all(self.contains_vector(row) for row in other.basis)
-
 
 def sublattice(rows, ambient_rank, *, allow_dependent=False):
     """Build a Sublattice from generating rows (canonicalized via HNF)."""
@@ -353,14 +347,6 @@ def saturate(lat):
     s = lat.rank
     sat_rows = [list(vinv[i]) for i in range(s)]
     return Sublattice(lat.ambient_rank, hermite_normal_form(sat_rows))
-
-
-def saturation_index(lat):
-    """Index of lat inside its saturation (product of elementary divisors)."""
-    idx = 1
-    for d in elementary_divisors(lat.basis):
-        idx *= d
-    return idx
 
 
 def is_split_summand(lat):

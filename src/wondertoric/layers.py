@@ -38,13 +38,6 @@ class Layer:
     def codim(self):
         return self.gamma.rank
 
-    def value_on(self, chi):
-        """phi extended linearly to an arbitrary character of gamma."""
-        coords = solve_in_lattice(self.gamma.basis, chi)
-        if coords is None:
-            raise ValueError("character not in the layer's lattice: %r" % (chi,))
-        return qz_dot(coords, self.phi)
-
     def sort_key(self):
         return (self.codim, self.gamma.basis, self.phi)
 
@@ -98,15 +91,6 @@ def parse_qz(s):
     return qz(Fraction(s))
 
 
-def layer_inclusion(a, b):
-    """True iff a is contained in b as subvarieties of the torus."""
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("ambient ranks differ")
-    if not a.gamma.contains(b.gamma):
-        return False
-    return all(a.value_on(row) == v for row, v in zip(b.gamma.basis, b.phi))
-
-
 def intersect_layers(layers):
     """Connected components of the intersection of the given layers.
 
@@ -147,13 +131,6 @@ class LayerPoset:
         n = len(self.elements)
         below = tuple(sum(1 << i for i in range(n) if self.inclusion[i][j]) for j in range(n))
         object.__setattr__(self, "below", below)
-
-    @property
-    def codims(self):
-        return tuple(e.codim for e in self.elements)
-
-    def index_of(self, lay):
-        return self.elements.index(lay)
 
     def components(self, mask):
         """Sorted ids of the maximal elements in the bitmask; for the lower

@@ -111,4 +111,4 @@ def verify(pres_hilbert, oracle, torsion=()):
     for k, t in enumerate(torsion):
         if t:
             failures.append(("torsion", 2 * k, tuple(t)))
-    return Report(not failures, tuple(failures))
+    return Report(tuple(failures))

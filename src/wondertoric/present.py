@@ -31,7 +31,7 @@ from .cohomology import (
     pvar,
     toric_relations,
 )
-from .errors import DegreeMismatch, InvariantViolated, NotGood, NotNested
+from .errors import InvariantViolated, NotGood, NotNested
 from .fans import fan_to_dict, rays_in_kernel, validate_good
 from .layers import closure_nonempty_with_orbit, layer_to_dict, torus
 
@@ -79,14 +79,13 @@ class Model:
     Functions that take a Model check nothing again.
 
     A Model also keeps what every presentation of it shares: the base ring,
-    built on first use, the Chern lifts by pair (G, M) of poset ids, and the
-    relation groups with their substituted terms, the F groups of member i
-    per nested members above G_i, each t^A times the F base of its lift.
-    Reuse one Model for many presentations."""
+    built on first use, and the relation groups with their substituted
+    terms: the F base of each Chern lift, by pair (G, M) of poset ids, and
+    the F groups of member i per nested members above G_i, each t^A times
+    the F base of its lift.  Reuse one Model for many presentations."""
 
     fan: object
     building: BuildingSet
-    lifts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     assembled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -152,10 +151,10 @@ def _plain(x):
 def _assemble(model, nested, lift_rel):
     """Relation groups of a model or stratum.  The groups that do not depend
     on the nested set, a member's F groups per nested members above it, and
-    the F base of each lift are built and substituted once per Model, like
-    the lifts; a caller's lift_rel gets fresh memos, so it sees every pair."""
+    the F base of each lift are built and substituted once per Model; a
+    caller's lift_rel gets a fresh memo, so it sees every pair."""
     f, building, base = model.fan, model.building, model.base
-    memo, lifts = (model.assembled, model.lifts) if lift_rel is None else ({}, {})
+    memo = model.assembled if lift_rel is None else {}
     lift_rel = lift_rel or lift_chern_relative
     m = building.size
     nc = len(f.rays)
@@ -200,22 +199,30 @@ def _assemble(model, nested, lift_rel):
 
     def lifted(i, where, mlayer):
         """sum_k coeff_k shift_i^k for the lift of (G_i, M), M the poset
-        element `where` or the torus, as (degree, terms, substituted terms):
-        built and substituted once per pair.  F(i, A) is t^A times it."""
+        element `where` or the torus, as (terms, substituted terms): built,
+        degree-checked and substituted once per pair.  F(i, A) is t^A times
+        it, so its degree is |A| more, for every A."""
         g = ids[i]
-        key = ("F base", g, where)  # no other key starts with this name
+        # keyed by poset ids, since a Layer would hash its Fractions; no
+        # other key starts with "F base"
+        key = ("F base", g, where)
         if key not in memo:
             shift = {}  # minus the t_h of the members G_h inside G_i
             for h in range(m):
                 if incl[ids[h]][g]:
                     shift = padd(shift, pvar(nc + h, nvars, -1))
-            # poset ids: a Layer would hash its Fractions
-            lifts[g, where] = p = lift_rel(member_layers[i], mlayer, base, f)
+            p = lift_rel(member_layers[i], mlayer, base, f)
             poly = {}
             for k, coeff in enumerate(p.coeff_polys()):
                 poly = padd(poly, pmul(ext(coeff), ppow(shift, k, nvars)))
+            have, want = pdegree(poly), member_layers[i].codim - mlayer.codim
+            # no F(i, A) may be empty: its degree want + |A| is positive
+            if not poly or have != want:
+                raise InvariantViolated(
+                    "F base of member %d over component %r has degree %d, not %d" % (i, where, have, want)
+                )
             t, s = canon_terms(poly), canon_terms(sub.substitute(poly))
-            memo[key] = (pdegree(poly), t, t if s == t else s)
+            memo[key] = (t, t if s == t else s)
         return memo[key]
 
     def times(terms, a):  # t^A times canonical terms: adding e keeps their order
@@ -227,7 +234,7 @@ def _assemble(model, nested, lift_rel):
         return tuple((tuple(map(operator.add, x, e)), c) for x, c in terms)
 
     def f_groups(i, s_i):
-        g_layer, g = member_layers[i], ids[i]
+        g = ids[i]
         # members strictly containing G, all of them; s_i: the nested ones
         supersets = [j for j in range(m) if ids[j] != g and incl[g][ids[j]]]
         for size in range(len(supersets) + 1):
@@ -245,11 +252,7 @@ def _assemble(model, nested, lift_rel):
                         )
                     where = holding[0]
                     mlayer = building.poset.elements[where]
-                degree, terms, subbed = lifted(i, where, mlayer)
-                have = degree + len(a) if terms else 0
-                want = g_layer.codim - mlayer.codim + len(a)
-                if have != want:
-                    raise InvariantViolated("F(%d, %r) has degree %d, not %d" % (i, list(a), have, want))
+                terms, subbed = lifted(i, where, mlayer)
                 t = times(terms, a)
                 if ("component", where) not in memo:  # one per layer, shared
                     memo["component", where] = _frozen(layer_to_dict(mlayer))
@@ -335,19 +338,6 @@ def hilbert_function(pres, max_degree=None):
         if any(ranks[d] != ranks[n - d] for d in range(n + 1)):
             raise InvariantViolated("ranks are not palindromic: %r" % (ranks,))
     return ranks, torsion
-
-
-def ideal_equal_up_to(pres_a, pres_b, max_degree):
-    """Degree-by-degree equality of the relation lattices of two
-    presentations on the same generators.  The HNFs are compared over all
-    monomials, since the two rings' standard monomials differ when their
-    unit-monomial relations do."""
-    if pres_a.ring.names != pres_b.ring.names:
-        raise DegreeMismatch("presentations live on different generators")
-    for d in range(max_degree + 1):
-        if pres_a.ring.full_hnf_rows(d) != pres_b.ring.full_hnf_rows(d):
-            return False
-    return True
 
 
 def presentation_to_dict(pres, max_degree=None):

@@ -11,24 +11,42 @@ The Q/Z, simplex and cone-coordinate kernels are kept here in their
 fractions.Fraction form, the greedy fan search without its record of
 lattices already repaired or of their signs, the face-compatibility check
 with one LP per ray, and the equal-sign searches in the form that pairs a
-character with every ray of every cone and builds a Report per candidate.  The Hermite form and the lattice solve are kept as one batch
-elimination with a transform matrix, and the toric elimination as
-Gauss-Jordan over Fractions.  The echelon engine is kept in its dense-list
-form, and the all-monomial slice references run on it.  Standard monomials
-are grown by tuple slicing, and the F relations are built one polynomial per
-(member, superset choice) from a fresh lift on a fresh base ring.
+character with every ray of every cone and builds a Report per candidate.
+The Hermite form and the lattice solve are kept as one batch elimination
+with a transform matrix, and the toric elimination as Gauss-Jordan over
+Fractions.  The echelon engine is kept in its dense-list form, and the
+all-monomial slice references run on it.  Standard monomials are grown by
+tuple slicing, and the F relations are built one polynomial per (member,
+superset choice) from a fresh lift on a fresh base ring.
+
+The last section keeps checkers that no command runs, so the package does
+not ship them: `value_on` and `layer_inclusion` (layer inclusion by lattice
+arithmetic), `lift_chern_pair` (P_G, P_M and P_G_rel from one shared
+adapted basis), `full_hnf_rows` and `ideal_equal_up_to` (relation lattices
+compared over all monomials), and `RingMap`, `restriction_map`,
+`kernel_lattice`, `ideal_slice` and `restriction_kernel_report` (the
+restriction onto a layer closure and its kernel, degree by degree).
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from wondertoric.chern import lift_chern_relative
+from wondertoric.chern import (
+    divisor_class_raw,
+    equal_sign_adapted_basis,
+    lift_chern_relative,
+    make_lifted,
+)
 from wondertoric.cohomology import (
+    GradedRing,
+    RingElement,
     canon_terms,
     danilov_ring,
     from_terms,
     padd,
+    pconst,
     pdegree,
     pmul,
     pmul_mono,
@@ -41,16 +59,20 @@ from wondertoric.fans import (
     Report,
     find_equal_sign_basis,
     first_equal_sign_violation,
+    induced_fan,
     pairing,
     primitive,
+    rays_in_kernel,
     stellar_subdivide,
 )
 from wondertoric.lattice import (
+    RowEchelon,
     adapted_basis,
     elementary_divisors,
     hermite_normal_form,
     kernel_basis,
     qz,
+    qz_dot,
     solve_in_lattice,
     sublattice,
     torsion_frame,
@@ -60,7 +82,6 @@ from wondertoric.layers import (
     LayerPoset,
     closure_nonempty_with_orbit,
     intersect_layers,
-    layer_inclusion,
     layer_to_dict,
     torus,
 )
@@ -192,7 +213,7 @@ def well_connected_reference(candidate_ids, poset):
                 if c not in member_layers:
                     bad.append(("stray_component", sub))
                     break
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 def nested_reference(t_ids, building):
@@ -415,7 +436,7 @@ def restriction_kernel_reference(rmap, kernel_gens, max_degree):
                 span.insert(src.vector_of(pmul_mono(p, shift), d))
         if got != tuple(span.hnf_rows()):
             bad.append(("kernel_mismatch", d))
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 # -- batch and dense echelon forms --------------------------------------------
@@ -745,7 +766,7 @@ def cone_face_compat_reference(f, lat):
             if feasible_nonneg_reference(A, b):
                 bad.append(("interior_meets_kernel", c, j))
                 break
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 def search_good_fan_reference(f, lattices, budget=64):
@@ -787,7 +808,7 @@ def equal_sign_check_reference(f, basis):
             vals = [pairing(chi, f.rays[i]) for i in c]
             if any(v > 0 for v in vals) and any(v < 0 for v in vals):
                 bad.append(("mixed_signs", c, bi))
-    return Report(not bad, tuple(bad))
+    return Report(tuple(bad))
 
 
 def find_equal_sign_basis_reference(f, lat, bound=2):
@@ -862,3 +883,153 @@ def equal_sign_adapted_basis_reference(f, g_lat, m_lat, bound=2):
             raise NoBasis("no equal-sign completion within correction bound")
         corrected.append(found)
     return tuple(m_basis) + tuple(corrected), k
+
+
+# -- references that no command runs -----------------------------------------
+# Layer inclusion by lattice arithmetic, the lift of a pair from one shared
+# basis, HNFs over all monomials, and the restriction maps with their kernel
+# lattices: the package computes none of them on its way to a presentation.
+
+
+def value_on(lay, chi):
+    """The layer's phi extended linearly to a character of its lattice, by
+    the int Q/Z sum lattice.qz_dot."""
+    coords = solve_in_lattice(lay.gamma.basis, chi)
+    if coords is None:
+        raise ValueError("character not in the layer's lattice: %r" % (chi,))
+    return qz_dot(coords, lay.phi)
+
+
+def layer_inclusion(a, b):
+    """True iff a is contained in b as subvarieties of the torus."""
+    if a.ambient_rank != b.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    if any(solve_in_lattice(a.gamma.basis, row) is None for row in b.gamma.basis):
+        return False
+    return all(value_on(a, row) == v for row, v in zip(b.gamma.basis, b.phi))
+
+
+def lift_chern_pair(G, M, ring, f):
+    """(P_G, P_M, P_G_rel) computed from one shared adapted basis, so the
+    factorization P_G = P_M * P_G_rel holds on the nose.  Same precondition
+    as chern.lift_chern_relative."""
+    basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma)
+    factors = [divisor_class_raw(b, f, ring.nvars) for b in basis]
+    p_g = make_lifted(factors, ring)
+    p_m = make_lifted(factors[:k], ring)
+    p_rel = make_lifted(factors[k:], ring)
+    # coefficient-wise identity of the product
+    prod = [pconst(0, ring.nvars) for _ in p_g.coefficients]
+    for i, a in enumerate(p_m.coeff_polys()):
+        for j, b in enumerate(p_rel.coeff_polys()):
+            prod[i + j] = padd(prod[i + j], pmul(a, b))
+    for got, want in zip(prod, p_g.coefficients):
+        if ring.normal_form(got).terms != want.terms:
+            raise InvariantViolated("P_G is not P_M * P_G_rel")
+    return p_g, p_m, p_rel
+
+
+def full_hnf_rows(ring, d, rows=None):
+    """HNF over all of `ring.monomials(d)`: a unit row per non-standard
+    monomial plus `rows` (default: the slice's HNF), which live on the
+    standard columns, placed in their columns."""
+    _, index, ech = ring.slice_table(d)
+    allmomos = ring.monomials(d)
+    width = len(allmomos)
+    where = [j for j, e in enumerate(allmomos) if e in index]
+    by_pivot = {}
+    for j, e in enumerate(allmomos):
+        if e not in index:
+            by_pivot[j] = tuple(int(k == j) for k in range(width))
+    for row in ech.hnf_rows() if rows is None else rows:
+        full = [0] * width
+        for j, c in zip(where, row):
+            full[j] = c
+        by_pivot[where[next(k for k, c in enumerate(row) if c)]] = tuple(full)
+    return [by_pivot[j] for j in sorted(by_pivot)]
+
+
+def ideal_equal_up_to(pres_a, pres_b, max_degree):
+    """Degree-by-degree equality of the relation lattices of two
+    presentations on the same generators.  The HNFs are compared over all
+    monomials, since the two rings' standard monomials differ when their
+    unit-monomial relations do."""
+    if pres_a.ring.names != pres_b.ring.names:
+        raise ValueError("presentations live on different generators")
+    return all(
+        full_hnf_rows(pres_a.ring, d) == full_hnf_rows(pres_b.ring, d)
+        for d in range(max_degree + 1)
+    )
+
+
+@dataclass(frozen=True)
+class RingMap:
+    source: GradedRing
+    target: GradedRing
+    images: tuple  # per source generator: a polynomial in target vars, or None
+
+    def apply(self, p):
+        if isinstance(p, RingElement):
+            p = p.poly()
+        out = {}
+        for e, c in p.items():
+            term = pconst(c, self.target.nvars)
+            dead = False
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                if self.images[i] is None:
+                    dead = True
+                    break
+                term = pmul(term, ppow(self.images[i], k, self.target.nvars))
+            if not dead:
+                out = padd(out, term)
+        return out
+
+
+def restriction_map(ring, lat, f):
+    """Surjection onto the cohomology of the layer closure: c_r keeps its
+    class when the ray survives into the induced fan, dies otherwise."""
+    target = danilov_ring(induced_fan(f, lat))
+    position = {r: k for k, r in enumerate(sorted(rays_in_kernel(f, lat)))}
+    images = tuple(
+        pvar(position[r], target.nvars) if r in position else None for r in range(len(f.rays))
+    )
+    return target, RingMap(ring, target, images)
+
+
+def kernel_lattice(rmap, d):
+    """HNF basis of the degree-d part of the full kernel lattice: vectors
+    over the source's `monomials(d)` whose image lands in the target
+    relation span."""
+    src, tgt = rmap.source, rmap.target
+    src_momos = src.monomials(d)
+    tgt_momos, _, tgt_ech = tgt.slice_table(d)
+    cols = [tgt.vector_of(tgt.substitute(rmap.apply({e: 1})), d) for e in src_momos]
+    rel_rows = tgt_ech.hnf_rows()
+    # kernel of [images | -relations] projected onto the source coordinates
+    mat = [
+        [col.get(i, 0) for col in cols] + [-r[i] for r in rel_rows]
+        for i in range(len(tgt_momos))
+    ]
+    ker = kernel_basis(mat, len(src_momos) + len(rel_rows))
+    return hermite_normal_form([row[: len(src_momos)] for row in ker])
+
+
+def ideal_slice(ring, extra_gens, d):
+    """HNF over `monomials(d)` of the degree-d span of the ring's relations
+    plus extra ideal generators (given as polynomials)."""
+    ech = ring.slice_table(d)[2]
+    gens = [(p.items(), pdegree(p)) for p in map(ring.substitute, extra_gens) if p]
+    span = RowEchelon(ech.ncols, itertools.chain(ech.hnf_rows(), ring.shifted_rows(gens, d)))
+    return tuple(full_hnf_rows(ring, d, span.hnf_rows()))
+
+
+def restriction_kernel_report(rmap, kernel_gens, max_degree):
+    """Check that the stated generators span the kernel of the restriction in
+    every degree up to max_degree.  Exact lattice comparison, no ranks."""
+    bad = []
+    for d in range(1, max_degree + 1):
+        if tuple(kernel_lattice(rmap, d)) != ideal_slice(rmap.source, kernel_gens, d):
+            bad.append(("kernel_mismatch", d))
+    return Report(tuple(bad))

@@ -14,17 +14,16 @@ import time
 
 import pytest
 
-from _oracles import nested_plus_reference
-from wondertoric.building import building_set, is_nested, is_nested_plus
-from wondertoric.chern import LiftedChernPoly, lift_chern_relative
-from wondertoric.cli import main as cli_main
-from wondertoric.cohomology import (
-    danilov_ring,
-    h_vector_oracle,
-    pvar,
+from _oracles import (
+    ideal_equal_up_to,
+    nested_plus_reference,
     restriction_kernel_report,
     restriction_map,
 )
+from wondertoric.building import building_set, is_nested, is_nested_plus
+from wondertoric.chern import LiftedChernPoly, lift_chern_relative
+from wondertoric.cli import main as cli_main
+from wondertoric.cohomology import danilov_ring, h_vector_oracle, pvar
 from wondertoric.errors import NotNested
 from wondertoric.fans import (
     fan,
@@ -41,7 +40,6 @@ from wondertoric.present import (
     assemble_model_ideal,
     assemble_stratum_ideal,
     hilbert_function,
-    ideal_equal_up_to,
     nested_set,
 )
 
@@ -170,7 +168,7 @@ def perturb(scale, needs_ray=None):
 
     def hook(g, mlayer, ring, f):
         p = lift_chern_relative(g, mlayer, ring, f)
-        if mlayer.codim == 0 or p.degree == 0:
+        if mlayer.codim == 0 or len(p.coefficients) == 1:
             return p
         inside = rays_in_kernel(f, mlayer.gamma)
         if needs_ray is not None and needs_ray not in inside:
@@ -178,7 +176,7 @@ def perturb(scale, needs_ray=None):
         dead = [r for r in range(len(f.rays)) if r not in inside]
         if not dead:
             return p
-        k = p.degree - 1
+        k = len(p.coefficients) - 2  # the coefficient of t^(degree - 1)
         merged = dict(p.coefficients[k].poly())
         for e, c in pvar(dead[0], ring.nvars, scale).items():
             merged[e] = merged.get(e, 0) + c

@@ -28,7 +28,7 @@ P1xP1 = fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (0, 3), (1, 2), (1, 
 
 
 def ids_of(poset, *layers):
-    return [poset.index_of(l) for l in layers]
+    return [poset.elements.index(l) for l in layers]
 
 
 def curve_ids(poset):
@@ -91,7 +91,7 @@ def test_prefixes_are_building():
         for k in range(1, g.size + 1):
             prefix_layers = [poset.elements[i] for i in g.members[:k]]
             sub = build_layer_poset(prefix_layers)
-            prefix_ids = [sub.index_of(l) for l in prefix_layers]
+            prefix_ids = [sub.elements.index(l) for l in prefix_layers]
             assert validate_building(prefix_ids, sub).ok
             assert validate_well_connected(prefix_ids, sub).ok
 
@@ -114,7 +114,7 @@ def test_induced_building_empty_and_chain():
     g = building_set(chain)
     z = g.members[-1]
     got = induced_building_on(chain, g.members[:-1], z)
-    assert got == [(chain.index_of(pt), 0)]
+    assert got == [(chain.elements.index(pt), 0)]
 
 
 def test_induced_family_is_building_for_its_arrangement():
@@ -122,7 +122,7 @@ def test_induced_family_is_building_for_its_arrangement():
     z = g.members[-1]
     hs = [COORD.elements[i] for i, _ in induced_building_on(COORD, g.members[:-1], z)]
     sub = build_layer_poset(hs)
-    ids = [sub.index_of(h) for h in hs]
+    ids = [sub.elements.index(h) for h in hs]
     assert validate_building(ids, sub).ok
     assert validate_well_connected(ids, sub).ok
 
@@ -168,7 +168,7 @@ def test_is_nested_plus_examples():
     # arrangement {x=1} over the quadrant fan; divisors indexed by rays
     poset = build_layer_poset([X1])
     g = building_set(poset)
-    x1 = poset.index_of(X1)
+    x1 = poset.elements.index(X1)
     e1, me1, e2 = 0, 1, 2
     assert is_nested_plus([x1], [e2], g, P1xP1)
     assert not is_nested_plus([x1], [e1], g, P1xP1)

@@ -1,15 +1,15 @@
 import pytest
 
+from _oracles import lift_chern_pair
 from wondertoric.chern import (
-    divisor_class,
+    divisor_class_raw,
     equal_sign_adapted_basis,
-    lift_chern_absolute,
-    lift_chern_pair,
     lift_chern_relative,
+    product_of_linear_factors,
 )
-from wondertoric.cohomology import danilov_ring, pconst, pvar
+from wondertoric.cohomology import danilov_ring, pconst, pdegree, pvar
 from wondertoric.errors import NoBasis
-from wondertoric.fans import fan, stellar_subdivide
+from wondertoric.fans import fan, find_equal_sign_basis, stellar_subdivide
 from wondertoric.lattice import sublattice
 from wondertoric.layers import layer, torus
 
@@ -34,24 +34,24 @@ def ring_p1xp1():
 
 def test_divisor_class_p1():
     ring = ring_p1()
-    cls = divisor_class((1,), ring, P1)
+    cls = ring.normal_form(divisor_class_raw((1,), P1, ring.nvars))
     assert cls.poly() == pvar(1, 2)
     # inverse character gives the other fixed point, same class here
-    assert divisor_class((-1,), ring, P1).poly() == pvar(1, 2)
+    assert ring.normal_form(divisor_class_raw((-1,), P1, ring.nvars)).poly() == pvar(1, 2)
 
 
 def test_divisor_class_p1xp1():
     ring = ring_p1xp1()
-    assert divisor_class((1, 0), ring, P1XP1).poly() == pvar(1, 4)
-    assert divisor_class((0, 1), ring, P1XP1).poly() == pvar(3, 4)
-    assert divisor_class((0, 0), ring, P1XP1).is_zero()
+    assert ring.normal_form(divisor_class_raw((1, 0), P1XP1, ring.nvars)).poly() == pvar(1, 4)
+    assert ring.normal_form(divisor_class_raw((0, 1), P1XP1, ring.nvars)).poly() == pvar(3, 4)
+    assert ring.normal_form(divisor_class_raw((0, 0), P1XP1, ring.nvars)).terms == ()
 
 
 def test_absolute_point_on_p1():
     ring = ring_p1()
     pt = layer([[1]], [0], 1)
-    p = lift_chern_absolute(pt, ring, P1)
-    assert p.degree == 1
+    p = lift_chern_relative(pt, torus(1), ring, P1)
+    assert len(p.coefficients) == 2
     assert p.coefficients[0].poly() == pvar(1, 2)
     assert p.coefficients[1].poly() == pconst(1, 2)
 
@@ -59,16 +59,16 @@ def test_absolute_point_on_p1():
 def test_absolute_curve_on_p1xp1():
     ring = ring_p1xp1()
     curve = layer([[1, 0]], [0], 2)
-    p = lift_chern_absolute(curve, ring, P1XP1)
-    assert p.degree == 1
+    p = lift_chern_relative(curve, torus(2), ring, P1XP1)
+    assert len(p.coefficients) == 2
     assert p.coefficients[0].poly() == pvar(1, 4)
 
 
 def test_absolute_point_on_p1xp1():
     ring = ring_p1xp1()
     pt = layer([[1, 0], [0, 1]], [0, 0], 2)
-    p = lift_chern_absolute(pt, ring, P1XP1)
-    assert p.degree == 2
+    p = lift_chern_relative(pt, torus(2), ring, P1XP1)
+    assert len(p.coefficients) == 3
     # (t + c1)(t + c3)
     assert p.coefficients[2].poly() == pconst(1, 4)
     c1, c3 = pvar(1, 4), pvar(3, 4)
@@ -81,7 +81,7 @@ def test_relative_point_in_curve():
     pt = layer([[1, 0], [0, 1]], [0, 0], 2)
     curve = layer([[1, 0]], [0], 2)
     p = lift_chern_relative(pt, curve, ring, P1XP1)
-    assert p.degree == 1
+    assert len(p.coefficients) == 2
     assert p.coefficients[0].poly() == pvar(3, 4)
 
 
@@ -89,23 +89,27 @@ def test_relative_same_layer_is_one():
     ring = ring_p1xp1()
     curve = layer([[1, 0]], [0], 2)
     p = lift_chern_relative(curve, curve, ring, P1XP1)
-    assert p.degree == 0
+    assert len(p.coefficients) == 1
     assert p.coefficients[0].poly() == pconst(1, 4)
 
 
 def test_relative_to_torus_is_absolute():
+    # over the torus the lift is prod (t + class(b)) over an equal-sign
+    # basis of the whole layer lattice
     ring = ring_p1xp1()
     pt = layer([[1, 0], [0, 1]], [0, 0], 2)
     rel = lift_chern_relative(pt, torus(2), ring, P1XP1)
-    ab = lift_chern_absolute(pt, ring, P1XP1)
-    assert [c.terms for c in rel.coefficients] == [c.terms for c in ab.coefficients]
+    basis = find_equal_sign_basis(P1XP1, pt.gamma)
+    factors = [divisor_class_raw(b, P1XP1, ring.nvars) for b in basis]
+    ab = product_of_linear_factors(factors, ring)
+    assert [c.terms for c in rel.coefficients] == [ring.normal_form(c).terms for c in ab]
 
 
 def test_no_basis_on_p2_diagonal():
     ring = danilov_ring(P2)
     diag = layer([[1, -1]], [0], 2)
     with pytest.raises(NoBasis):
-        lift_chern_absolute(diag, ring, P2)
+        lift_chern_relative(diag, torus(2), ring, P2)
 
 
 def test_no_basis_from_completion_search():
@@ -114,24 +118,22 @@ def test_no_basis_from_completion_search():
     ring = danilov_ring(BLP2)
     anti = layer([[1, -1]], [0], 2)
     pt = layer([[1, 0], [0, 1]], [0, 0], 2)
-    p = lift_chern_absolute(anti, ring, BLP2)
-    assert p.degree == 1
+    p = lift_chern_relative(anti, torus(2), ring, BLP2)
+    assert len(p.coefficients) == 2
     with pytest.raises(NoBasis):
         lift_chern_relative(pt, anti, ring, BLP2)
     with pytest.raises(NoBasis):
-        lift_chern_absolute(pt, ring, BLP2)
+        lift_chern_relative(pt, torus(2), ring, BLP2)
 
 
 def test_constant_term_is_nonzero_dual_class():
     ring = ring_p1xp1()
     for rows, codim in [([[1, 0]], 1), ([[0, 1]], 1), ([[1, 0], [0, 1]], 2)]:
         lay = layer(rows, [0] * len(rows), 2)
-        p = lift_chern_absolute(lay, ring, P1XP1)
-        assert p.degree == codim
+        p = lift_chern_relative(lay, torus(2), ring, P1XP1)
+        assert len(p.coefficients) == codim + 1
         const = p.coefficients[0]
-        assert not const.is_zero()
-        from wondertoric.cohomology import pdegree
-
+        assert const.terms
         assert pdegree(const.poly()) == codim
 
 
@@ -140,7 +142,7 @@ def test_factorization_coherence():
     pt = layer([[1, 0], [0, 1]], [0, 0], 2)
     curve = layer([[1, 0]], [0], 2)
     p_g, p_m, p_rel = lift_chern_pair(pt, curve, ring, P1XP1)
-    assert p_g.degree == 2 and p_m.degree == 1 and p_rel.degree == 1
+    assert [len(p.coefficients) for p in (p_g, p_m, p_rel)] == [3, 2, 2]
     assert p_m.coefficients[0].poly() == pvar(1, 4)
     assert p_rel.coefficients[0].poly() == pvar(3, 4)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import wondertoric
 from wondertoric import building, cli, fans, jobs, oracle, present
-from wondertoric.cli import main, render_text
+from wondertoric.cli import main
 from wondertoric.fans import fan_from_dict, fan_to_dict
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -89,9 +89,11 @@ def test_worker_count_does_not_change_output(tmp_path):
 
 
 def test_module_entry_point_matches_golden():
+    src = os.path.dirname(os.path.dirname(wondertoric.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "wondertoric.cli", "check", "--input",
          golden_path("p1xp1_coordinate.job.json")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
         capture_output=True,
     )
     assert proc.returncode == 0
@@ -245,20 +247,6 @@ def test_fan_json_round_trip_is_bit_exact():
         again = fan_to_dict(f)
         assert again == doc
         assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True)
-
-
-def test_render_text_accepts_presentation_objects():
-    from wondertoric.building import building_set
-    from wondertoric.fans import fan
-    from wondertoric.layers import build_layer_poset, layer
-    from wondertoric.present import assemble_model_ideal
-
-    P1 = fan(1, ((1,), (-1,)), ((0,), (1,)))
-    poset = build_layer_poset([layer([[1]], [0], 1)])
-    pres = assemble_model_ideal(P1, building_set(poset))
-    text = render_text(pres)
-    with open(golden_path("p1_one_point.present.txt")) as fh:
-        assert text == fh.read()
 
 
 def test_empty_arrangement_lists_base_ring_alone(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import wondertoric
 from wondertoric.building import BuildingSet, building_set, nested_plus_sets
-from _oracles import f_groups_reference
+from _oracles import f_groups_reference, ideal_equal_up_to, layer_inclusion
 from wondertoric.chern import (
     LiftedChernPoly,
     divisor_class_raw,
@@ -29,12 +29,12 @@ from wondertoric.cohomology import (
     danilov_ring,
     from_terms,
     padd,
+    pconst,
     ppow,
     pvar,
 )
 from wondertoric.errors import (
     BadOrder,
-    DegreeMismatch,
     InvariantViolated,
     NotBuilding,
     NotGood,
@@ -52,14 +52,13 @@ from wondertoric.fans import (
 )
 from wondertoric.jobs import job_building, job_poset, load_job
 from wondertoric.lattice import elementary_divisors
-from wondertoric.layers import build_layer_poset, layer, layer_inclusion, torus
+from wondertoric.layers import build_layer_poset, layer, torus
 from wondertoric.present import (
     Model,
     ModelPresentation,
     assemble_model_ideal,
     assemble_stratum_ideal,
     hilbert_function,
-    ideal_equal_up_to,
     model_ideal,
     nested_set,
     presentation_to_dict,
@@ -197,7 +196,7 @@ def test_model_vs_stratum_ideals_differ():
 def test_degree_mismatch():
     a = assemble_model_ideal(P1, p1_one_point())
     b = assemble_model_ideal(P1XP1, three_member_building())
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(ValueError, match="different generators"):
         ideal_equal_up_to(a, b, 2)
 
 
@@ -223,13 +222,13 @@ def test_bad_order_and_bad_building():
 def perturbing_lift(g, mlayer, ring, f):
     """Standard lift plus twice a vanishing-on-M class in one coefficient."""
     p = lift_chern_relative(g, mlayer, ring, f)
-    if mlayer.codim == 0 or p.degree == 0:
+    if mlayer.codim == 0 or len(p.coefficients) == 1:
         return p
     inside = rays_in_kernel(f, mlayer.gamma)
     dead = [r for r in range(len(f.rays)) if r not in inside]
     if not dead:
         return p
-    k = p.degree - 1
+    k = len(p.coefficients) - 2  # the coefficient of t^(degree - 1)
     merged = dict(p.coefficients[k].poly())
     for e, c in pvar(dead[0], ring.nvars, 2).items():
         merged[e] = merged.get(e, 0) + c
@@ -246,6 +245,21 @@ def test_lifting_choice_independence():
     assert ideal_equal_up_to(standard, perturbed, 3)
 
 
+def test_a_lift_of_the_wrong_degree_is_refused_at_its_f_base():
+    # F(i, A) is t^A times the F base of (G_i, M), so the base carries the
+    # degree check for every A: codim G_i - codim M, and never empty
+    for constant in (0, 1):
+        seen = []
+
+        def lift(g, mlayer, ring, f):
+            seen.append((g, mlayer))
+            return LiftedChernPoly(ring, (ring.normal_form(pconst(constant, ring.nvars)),))
+
+        with pytest.raises(InvariantViolated, match="F base of member 0 over component None has degree 0, not 2"):
+            assemble_model_ideal(P1XP1, three_member_building(), lift_rel=lift)
+        assert len(seen) == 1
+
+
 def counting_lift(seen):
     def lift(g, mlayer, ring, f):
         seen.append((g, mlayer))
@@ -254,16 +268,22 @@ def counting_lift(seen):
     return lift
 
 
+def f_bases(model):
+    """The kept F bases of a Model by pair (G, M) of poset ids, None for
+    the torus: one per Chern lift."""
+    return {k[1:]: v for k, v in model.assembled.items() if type(k) is tuple and k[0] == "F base"}
+
+
 def test_a_model_lifts_each_pair_once_across_presentations():
     model = Model(P1XP1, three_member_building())
     first = model_ideal(model)
-    pairs = dict(model.lifts)
+    pairs = f_bases(model)
     base = model.base
     assert pairs and first.base is base
     strat = stratum_ideal(model, nested_set(members=[0]))
     again = model_ideal(model)
     # the stratum lifts no pair the model had not already lifted
-    assert model.lifts == pairs and all(model.lifts[k] is v for k, v in pairs.items())
+    assert f_bases(model) == pairs and all(f_bases(model)[k] is v for k, v in pairs.items())
     assert strat.base is again.base is base
     assert again.groups == first.groups
     cold = assemble_stratum_ideal(P1XP1, three_member_building(), nested_set(members=[0]))
@@ -273,7 +293,7 @@ def test_a_model_lifts_each_pair_once_across_presentations():
 def test_a_caller_lift_sees_every_pair_after_a_warm_model():
     model = Model(P1XP1, three_member_building())
     model_ideal(model)
-    kept = dict(model.lifts)
+    kept = f_bases(model)
     seen = []
     hooked = model_ideal(model, lift_rel=counting_lift(seen))
     # the memo keys pairs by poset element ids, None for the torus
@@ -282,7 +302,7 @@ def test_a_caller_lift_sees_every_pair_after_a_warm_model():
     assert sorted(seen, key=repr) == sorted(pairs, key=repr)  # each pair once
     # and its lifts stay out of the Model's memo
     perturbed = model_ideal(model, lift_rel=perturbing_lift)
-    assert model.lifts == kept
+    assert f_bases(model) == kept
     assert perturbed.groups != hooked.groups == model_ideal(model).groups
 
 
@@ -300,19 +320,18 @@ def test_a_cold_model_ideal_hashes_no_fraction(monkeypatch):
     assert hash(Fraction(1, 2)) == fraction_hash(Fraction(1, 2)) and len(calls) == 1
     calls.clear()
     hilbert_function(model_ideal(model))
-    assert model.lifts and not calls, len(calls)
+    assert f_bases(model) and not calls, len(calls)
 
 
 def test_the_lift_memo_is_not_a_constructor_argument():
     model = Model(P1XP1, three_member_building())
-    for memo in ("lifts", "assembled"):
-        with pytest.raises(TypeError):
-            type(model)(model.fan, model.building, **{memo: {}})
+    with pytest.raises(TypeError):
+        type(model)(model.fan, model.building, assembled={})
     model_ideal(model)
     stratum_ideal(model, nested_set(members=[0]))
     assert model.assembled and "assembled" not in repr(model)
     fresh = type(model)(model.fan, model.building)
-    assert fresh == model and fresh.lifts == {} and fresh.assembled == {}
+    assert fresh == model and fresh.assembled == {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -415,7 +434,7 @@ def unreduced_lift(g, mlayer, ring, f):
     p = lift_chern_relative(g, mlayer, ring, f)
     v, coeffs = ring.eliminate[0], []
     for k, c in enumerate(p.coeff_polys()):
-        d = p.degree - k
+        d = len(p.coefficients) - 1 - k
         if d:
             c = padd(padd(c, {tuple(d * (i == v) for i in range(ring.nvars)): 1}),
                      {e: -x for e, x in ppow(ring.substitutions[v], d, ring.nvars).items()})
@@ -465,15 +484,20 @@ def test_a_kept_normal_form_is_what_a_fresh_ring_gives(stem):
     model = Model(f, b)
     model_ideal(model)
     ring, elements = model.base, b.poset.elements
-    for (g, where), lift in model.lifts.items():
-        m_lat = (torus(f.rank) if where is None else elements[where]).gamma
-        basis, k = equal_sign_adapted_basis(f, elements[g].gamma, m_lat)
+    kept = len(ring._normal)
+    assert f_bases(model)
+    for g, where in f_bases(model):
+        mlayer = torus(f.rank) if where is None else elements[where]
+        lift = lift_chern_relative(elements[g], mlayer, ring, f)
+        basis, k = equal_sign_adapted_basis(f, elements[g].gamma, mlayer.gamma)
         factors = [divisor_class_raw(v, f, ring.nvars) for v in basis[k:]]
         coeffs = product_of_linear_factors(factors, ring)
         assert len(coeffs) == len(lift.coefficients)
-        for c, kept in zip(coeffs, lift.coefficients):
-            assert ring.normal_form(c) is kept  # read from the ring's memo
-            assert kept.terms == danilov_ring(f).normal_form(c).terms
+        for c, got in zip(coeffs, lift.coefficients):
+            assert ring.normal_form(c) is got
+            assert got.terms == danilov_ring(f).normal_form(c).terms
+    # lifting again reads every normal form from the ring's memo
+    assert len(ring._normal) == kept
 
 
 def test_a_caller_cannot_change_the_kept_groups():

@@ -1,6 +1,7 @@
 """Checks on the package sources themselves."""
 
 import ast
+import collections
 import glob
 import os
 
@@ -184,4 +185,60 @@ def test_ring_and_model_memos_hang_off_their_objects():
             called = getattr(value, "func", None)
             if isinstance(value, (ast.Dict, ast.DictComp)) or getattr(called, "id", getattr(called, "attr", None)) in memo_types:
                 found.append("%s:%d module-level dict" % (name, node.lineno))
+    assert found == []
+
+
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def _reads(tree):
+    """How often the tree reads each name, bare or as an attribute."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _bench_names():
+    """What bench/*.py takes from the package: the names it imports from
+    wondertoric and every attribute it reads, since methods such as
+    GradedRing.slice_table are reached through objects, not imported."""
+    names = set()
+    paths = sorted(glob.glob(os.path.join(BENCH, "*.py")))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wondertoric":
+                names |= {a.name for a in node.names}
+        names |= set(_reads(tree))
+    return names
+
+
+def test_every_public_definition_runs_outside_the_tests():
+    # a public function, class or method is read somewhere in the package
+    # (by name, outside its own body), is the command line entry point, or
+    # is taken by the benchmark; references only the tests use live in
+    # tests/_oracles.py
+    trees = {os.path.basename(p): _parse(os.path.basename(p)) for p in sorted(glob.glob(os.path.join(SRC, "*.py")))}
+    reads = sum(map(_reads, trees.values()), collections.Counter())
+    bench = _bench_names()
+    assert {"parallel_map", "slice_table", "_nested_verdict"} <= bench
+    found = []
+    for name, tree in trees.items():
+        defs = [(node, node.name) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [
+            (node, "%s.%s" % (cls.name, node.name))
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for node, label in defs:
+            if node.name.startswith("_") or (name, label) == ("cli.py", "main") or node.name in bench:
+                continue
+            if reads[node.name] == _reads(node)[node.name]:
+                found.append("%s %s" % (name, label))
     assert found == []

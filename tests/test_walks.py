@@ -125,7 +125,7 @@ def check_antichains(b, f, nested=None):
         for sub, mask in antichains(b.members, poset, start)
     ]
     want = [
-        (sub, sorted(poset.index_of(c) for c in comps))
+        (sub, sorted(poset.elements.index(c) for c in comps))
         for sub, comps in antichains_reference(b.members, poset, start_layers, keep_layer)
     ]
     assert got == want
