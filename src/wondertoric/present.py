@@ -8,6 +8,13 @@ same families relative to a nested set, plus degree-one c_r relations for
 rays whose divisor misses the stratum.  Only those c_r relations, the F0
 monomials and the F relations of a member with nested members above it
 depend on the nested set; a Model keeps the rest, substituted, for all.
+
+F(i, A) is t^A times the F base of G_i over `where`, the component holding
+G_i in the intersection of the members of A and of the nested members above
+G_i.  When dropping j from A keeps `where`, F(i, A) = t_j F(i, A - j), so
+the ring takes only the irredundant A, found by a walk that never visits the
+others.  A document lists every F(i, A), as the paper's presentation does:
+the relation groups of a presentation are built when they are first read.
 """
 
 from __future__ import annotations
@@ -51,11 +58,20 @@ def nested_set(members=(), rays=()):
 
 @dataclass(frozen=True)
 class ModelPresentation:
+    """A ring, whose F relations are the irredundant F(i, A), and the
+    relation groups a document lists, built on first read of `groups`."""
+
     fan: object
     building: BuildingSet
     base: GradedRing
     ring: GradedRing
-    groups: tuple  # (group name, read-only provenance, frozen terms) triples
+    listing: object = field(repr=False, compare=False)  # () -> groups
+
+    @functools.cached_property
+    def groups(self):
+        """(group name, read-only provenance, frozen terms) triples, every
+        F(i, A) among them, in document order."""
+        return self.listing()
 
 
 @dataclass(frozen=True)
@@ -79,10 +95,13 @@ class Model:
     Functions that take a Model check nothing again.
 
     A Model also keeps what every presentation of it shares: the base ring,
-    built on first use, and the relation groups with their substituted
-    terms: the F base of each Chern lift, by pair (G, M) of poset ids, and
-    the F groups of member i per nested members above G_i, each t^A times
-    the F base of its lift.  Reuse one Model for many presentations."""
+    built on first use; the F base of each Chern lift, by pair (G, M) of
+    poset ids; the `where` of each F(i, A) visited, one memo per member i
+    and nested members above G_i; the ring's relations with their
+    substituted terms, among them member i's irredundant F(i, A) per nested
+    members above G_i; and, once a document asks for them, the listed
+    groups, among them every F(i, A), t^A times the F base of its lift.
+    Reuse one Model for many presentations."""
 
     fan: object
     building: BuildingSet
@@ -148,11 +167,39 @@ def _plain(x):
     return [_plain(v) for v in x] if isinstance(x, tuple) else x
 
 
+def _irredundant(supersets, where):
+    """The sets A of supersets (sorted tuples) from which no member can be
+    dropped without changing where(A), by size, then lexicographically.
+
+    A depth-first walk extends A by a later superset while every member
+    stays irredundant.  Irredundant sets are closed under subsets: for B
+    inside A, where(A) is the component holding G_i of where(B) cut by the
+    members of A - B, since the components of an intersection are disjoint,
+    so if dropping j keeps where(B), it keeps where(A).  So the walk finds
+    every irredundant set and no other."""
+    found = []
+
+    def walk(a, start):
+        found.append(a)
+        for k in range(start, len(supersets)):
+            b = a + (supersets[k],)
+            w = where(b)
+            if all(where(b[:x] + b[x + 1 :]) != w for x in range(len(b))):
+                walk(b, k + 1)
+
+    walk((), 0)
+    return sorted(found, key=lambda a: (len(a), a))
+
+
 def _assemble(model, nested, lift_rel):
-    """Relation groups of a model or stratum.  The groups that do not depend
-    on the nested set, a member's F groups per nested members above it, and
-    the F base of each lift are built and substituted once per Model; a
-    caller's lift_rel gets a fresh memo, so it sees every pair."""
+    """The ring of a model or stratum, and a function that lists its
+    relation groups for a document.  Both go through the relation families
+    in document order; the ring takes the irredundant F(i, A), the listing
+    every F(i, A).  The families that do not depend on the nested set, a
+    member's F relations per nested members above it, the `where` of each
+    F(i, A) and the F base of each lift are built and substituted once per
+    Model; a caller's lift_rel gets a fresh memo, so it sees every pair, and
+    its listing reads its own F bases."""
     f, building, base = model.fan, model.building, model.base
     memo = model.assembled if lift_rel is None else {}
     lift_rel = lift_rel or lift_chern_relative
@@ -161,7 +208,8 @@ def _assemble(model, nested, lift_rel):
     nvars = nc + m
     n = f.rank
     member_layers = [building.member_layer(p) for p in range(m)]
-    ids, incl = building.members, building.poset.inclusion
+    poset = building.poset
+    ids, incl = building.members, poset.inclusion
 
     def ext(p):
         return {e + (0,) * m: c for e, c in p.items()}
@@ -178,16 +226,19 @@ def _assemble(model, nested, lift_rel):
             e[i] += 1
         return {tuple(e): 1}
 
-    def substituted(groups):  # (name, provenance, poly)s
+    def relations(groups):  # (name, provenance, poly)s -> (terms, substituted terms)s
         out = []
-        for g, prov, p in groups:
+        for _, _, p in groups:
             t, s = canon_terms(p), canon_terms(sub.substitute(p))
-            out.append(((g, _frozen(prov), t), t if s == t else s))
-        return tuple(out)
+            out.append((t, t if s == t else s))
+        return out
 
-    def kept(key, build, *args):
+    def listed(groups):  # (name, provenance, poly)s -> a document's triples
+        return [(g, _frozen(prov), canon_terms(p)) for g, prov, p in groups]
+
+    def kept(key, build):
         if key not in memo:
-            memo[key] = tuple(build(*args))
+            memo[key] = tuple(build())
         return memo[key]
 
     def tc():
@@ -197,7 +248,10 @@ def _assemble(model, nested, lift_rel):
                 if r not in inside:
                     yield "tc", {"member": i, "ray": r}, mono(r, nc + i)
 
-    def lifted(i, where, mlayer):
+    def component(where):  # the layer of a poset id, the torus for None
+        return torus(n) if where is None else poset.elements[where]
+
+    def lifted(i, where):
         """sum_k coeff_k shift_i^k for the lift of (G_i, M), M the poset
         element `where` or the torus, as (terms, substituted terms): built,
         degree-checked and substituted once per pair.  F(i, A) is t^A times
@@ -207,6 +261,7 @@ def _assemble(model, nested, lift_rel):
         # other key starts with "F base"
         key = ("F base", g, where)
         if key not in memo:
+            mlayer = component(where)
             shift = {}  # minus the t_h of the members G_h inside G_i
             for h in range(m):
                 if incl[ids[h]][g]:
@@ -233,54 +288,80 @@ def _assemble(model, nested, lift_rel):
             e[nc + j] += 1
         return tuple((tuple(map(operator.add, x, e)), c) for x, c in terms)
 
-    def f_groups(i, s_i):
-        g = ids[i]
-        # members strictly containing G, all of them; s_i: the nested ones
-        supersets = [j for j in range(m) if ids[j] != g and incl[g][ids[j]]]
-        for size in range(len(supersets) + 1):
-            for a in itertools.combinations(supersets, size):
-                combo = sorted(set(a) | set(s_i))
+    def supersets(i):  # members strictly containing G_i
+        return [j for j in range(m) if ids[j] != ids[i] and incl[ids[i]][ids[j]]]
+
+    def where_of(i, s_i):
+        """where(A) for member i under nested members s_i: the poset id of
+        the component holding G_i in the intersection of the members of A
+        and s_i, None for the torus.  One memo per (i, s_i), which the ring
+        and the listing share."""
+        seen = memo.setdefault(("where", i, s_i), {})
+
+        def where(a):
+            if a not in seen:
+                combo = sorted({*a, *s_i})
                 if not combo:
-                    where, mlayer = None, torus(n)  # where: the poset element
+                    seen[a] = None
                 else:
-                    comps = building.poset.meet([ids[j] for j in combo])
-                    holding = [k for k in comps if incl[g][k]]
+                    comps = poset.meet([ids[j] for j in combo])
+                    holding = [k for k in comps if incl[ids[i]][k]]
                     if len(holding) != 1:  # components are disjoint
                         raise InvariantViolated(
-                            "member %d lies in %d components of %r"
-                            % (i, len(holding), combo)
+                            "member %d lies in %d components of %r" % (i, len(holding), combo)
                         )
-                    where = holding[0]
-                    mlayer = building.poset.elements[where]
-                terms, subbed = lifted(i, where, mlayer)
-                t = times(terms, a)
-                if ("component", where) not in memo:  # one per layer, shared
-                    memo["component", where] = _frozen(layer_to_dict(mlayer))
-                prov = {"member": i, "others": list(a), "component": memo["component", where]}
-                yield ("F", _frozen(prov), t), t if subbed is terms else times(subbed, a)
+                    seen[a] = holding[0]
+            return seen[a]
+
+        return where
+
+    def f_relations(i, s_i):  # the irredundant F(i, A), for the ring
+        where = where_of(i, s_i)
+        out = []
+        for a in _irredundant(supersets(i), where):
+            terms, subbed = lifted(i, where(a))
+            t = times(terms, a)
+            out.append((t, t if subbed is terms else times(subbed, a)))
+        return out
+
+    def f_listed(i, s_i):  # every F(i, A), by size of A, then lexicographically
+        where, sup = where_of(i, s_i), supersets(i)
+        out = []
+        for size in range(len(sup) + 1):
+            for a in itertools.combinations(sup, size):
+                w = where(a)
+                if ("component", w) not in memo:  # one per layer, shared
+                    memo["component", w] = _frozen(layer_to_dict(component(w)))
+                prov = {"member": i, "others": list(a), "component": memo["component", w]}
+                out.append(("F", _frozen(prov), times(lifted(i, w)[0], a)))
+        return out
 
     dead = _dead_rays(f, building, nested)
-    pairs = list(kept("shared", substituted, toric_relations(f, nvars)))
-    pairs += substituted(("stratum_c", {"ray": r}, pvar(r, nvars)) for r in dead)
-    pairs += kept("tc", substituted, tc())
-    for i in range(m):
-        s_i = tuple(p for p in nested.members if ids[p] != ids[i] and incl[ids[i]][ids[p]])
-        pairs += kept(("F", i, s_i), f_groups, i, s_i)
     empty = _minimal_empty(building, nested, f)
-    pairs += substituted(("F0", {"others": list(a)}, mono(*(nc + j for j in a))) for a in empty)
+    above = [tuple(p for p in nested.members if ids[p] != ids[i] and incl[ids[i]][ids[p]]) for i in range(m)]
 
-    groups = tuple(g for g, _ in pairs)
+    def families(convert, f_family, kind):
+        """Every relation family in document order, through convert, or
+        f_family for the F families; the kept ones under memo keys of kind."""
+        out = list(kept(("shared", kind), lambda: convert(toric_relations(f, nvars))))
+        out += convert(("stratum_c", {"ray": r}, pvar(r, nvars)) for r in dead)
+        out += kept(("tc", kind), lambda: convert(tc()))
+        for i in range(m):
+            out += kept(("F", kind, i, above[i]), functools.partial(f_family, i, above[i]))
+        out += convert(("F0", {"others": list(a)}, mono(*(nc + j for j in a))) for a in empty)
+        return out
+
+    pairs = families(relations, f_relations, "ring")
     ring = GradedRing(
-        sub.names, [t for _, _, t in groups], sub.eliminate, sub.substitutions,
+        sub.names, [t for t, _ in pairs], sub.eliminate, sub.substitutions,
         substituted=[s for _, s in pairs if s],
     )
-    return base, ring, groups
+    return base, ring, lambda: tuple(families(listed, f_listed, "listed"))
 
 
 def model_ideal(model, *, lift_rel=None):
     """Presentation of the cohomology of the compactified model."""
-    base, ring, groups = _assemble(model, nested_set(), lift_rel)
-    return ModelPresentation(model.fan, model.building, base, ring, groups)
+    return ModelPresentation(model.fan, model.building, *_assemble(model, nested_set(), lift_rel))
 
 
 def stratum_ideal(model, nested, *, lift_rel=None):
@@ -296,8 +377,7 @@ def stratum_ideal(model, nested, *, lift_rel=None):
     ids = [building.members[p] for p in nested.members]
     if not is_nested_plus(ids, nested.rays, building, f):
         raise NotNested("set is not nested: %r" % (nested,))
-    base, ring, groups = _assemble(model, nested, lift_rel)
-    return StratumPresentation(f, building, base, ring, groups, nested)
+    return StratumPresentation(f, building, *_assemble(model, nested, lift_rel), nested)
 
 
 def assemble_model_ideal(f, building, *, lift_rel=None):

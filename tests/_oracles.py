@@ -17,7 +17,8 @@ with a transform matrix, and the toric elimination as Gauss-Jordan over
 Fractions.  The echelon engine is kept in its dense-list form, and the
 all-monomial slice references run on it.  Standard monomials are grown by
 tuple slicing, and the F relations are built one polynomial per (member,
-superset choice) from a fresh lift on a fresh base ring.
+superset choice) from a fresh lift on a fresh base ring, all of them into
+one ring; the irredundant superset choices are every choice, filtered.
 
 The last section keeps checkers that no command runs, so the package does
 not ship them: `value_on` and `layer_inclusion` (layer inclusion by lattice
@@ -405,6 +406,39 @@ def f_groups_reference(model, nested):
                 out.append(("F", prov, canon_terms(poly)))
     return out
 
+
+
+def irredundant_reference(model, nested):
+    """Per member position i, the sets A of members strictly above G_i
+    (sorted tuples) from which no member can be dropped without changing
+    the component holding G_i in the meet of A and of the nested members
+    above G_i: every superset choice, filtered."""
+    building = model.building
+    poset, ids = building.poset, building.members
+    incl = poset.inclusion
+    out = {}
+    for i, g in enumerate(ids):
+        s_i = [p for p in nested.members if ids[p] != g and incl[g][ids[p]]]
+        supersets = [j for j in range(len(ids)) if ids[j] != g and incl[g][ids[j]]]
+        where = {}
+        for size in range(len(supersets) + 1):
+            for a in itertools.combinations(supersets, size):
+                combo = sorted(set(a) | set(s_i))
+                if combo:
+                    (where[a],) = [k for k in poset.meet([ids[j] for j in combo]) if incl[g][k]]
+                else:
+                    where[a] = None
+        out[i] = {a for a in where if all(where[a[:x] + a[x + 1 :]] != where[a] for x in range(len(a)))}
+    return out
+
+
+def all_subsets_ring(pres, model, nested):
+    """The ring of a presentation with every F(i, A) among its relations:
+    its listed groups of the other families, then f_groups_reference."""
+    ring = pres.ring
+    rels = [t for g, _, t in pres.groups if g != "F"]
+    rels += [t for _, _, t in f_groups_reference(model, nested)]
+    return GradedRing(ring.names, rels, ring.eliminate, ring.substitutions)
 
 def restriction_kernel_reference(rmap, kernel_gens, max_degree):
     """restriction_kernel_report computed on full slices of both rings."""

@@ -60,6 +60,8 @@ MATRIX = [
      "stratum_curve_ray.json", 0),
     ("p1xp1_curves", "stratum", ["--nested", '{"members": [], "rays": [0, 2]}'],
      "stratum_two_rays.json", 0),
+    # rank 4: (P1)^4 and its coordinate hyperplanes, 15 members
+    ("rank4/p1x4_hyperplanes", "check", [], "check.json", 0),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import os
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 
 import wondertoric
 from wondertoric.building import BuildingSet, building_set, nested_plus_sets
-from _oracles import f_groups_reference, ideal_equal_up_to, layer_inclusion
+from _oracles import (
+    all_subsets_ring,
+    f_groups_reference,
+    ideal_equal_up_to,
+    irredundant_reference,
+    layer_inclusion,
+)
 from wondertoric.chern import (
     LiftedChernPoly,
     divisor_class_raw,
@@ -40,6 +47,7 @@ from wondertoric.errors import (
     NotGood,
     NotNested,
 )
+from wondertoric import cli, present
 from wondertoric.cli import dumps
 from wondertoric.fans import (
     fan,
@@ -52,7 +60,7 @@ from wondertoric.fans import (
 )
 from wondertoric.jobs import job_building, job_poset, load_job
 from wondertoric.lattice import elementary_divisors
-from wondertoric.layers import build_layer_poset, layer, torus
+from wondertoric.layers import LayerPoset, build_layer_poset, layer, torus
 from wondertoric.present import (
     Model,
     ModelPresentation,
@@ -478,6 +486,122 @@ def test_f_groups_of_every_curves_stratum_equal_the_reference():
         check_f_groups(stratum_ideal(model, nested, lift_rel=lift_chern_relative), model, nested)
 
 
+def filtered_listing(pres, model, nested):
+    """The listed relations in document order, less the F(i, A) with a
+    redundant member by the filter over every superset choice."""
+    irr = irredundant_reference(model, nested)
+    return [t for g, prov, t in pres.groups if g != "F" or tuple(prov["others"]) in irr[prov["member"]]]
+
+
+def check_irredundant(pres, model, nested):
+    """The ring holds the filtered listing, and it generates what every
+    F(i, A) generates."""
+    assert list(pres.ring.relations) == filtered_listing(pres, model, nested)
+    every = dataclasses.replace(pres, ring=all_subsets_ring(pres, model, nested))
+    assert ideal_equal_up_to(pres, every, pres.fan.rank - stratum_size(pres))
+
+
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
+def test_the_ring_takes_the_irredundant_f_of_every_model_and_stratum(stem):
+    f, b = golden_fan_and_building(stem)
+    model = Model(f, b)
+    check_irredundant(model_ideal(model), model, nested_set())
+    for t, r in nested_plus_sets(b, f):
+        nested = nested_set(t, r)
+        check_irredundant(stratum_ideal(model, nested), model, nested)
+
+
+@pytest.mark.parametrize("stem,ring_f,listed_f", [
+    ("cube_planes", 32, 79),  # 47 redundant F(i, A)
+    ("p1xp1_curves", 20, 20),  # the strata_sweep model: none to drop
+    ("skew_good", 10, 10),
+])
+def test_the_ring_of_a_model_takes_fewer_f_than_its_document_lists(stem, ring_f, listed_f):
+    pres = model_ideal(Model(*golden_fan_and_building(stem)))
+    others = sum(g != "F" for g, _, _ in pres.groups)
+    assert (len(pres.ring.relations) - others, len(pres.groups) - others) == (ring_f, listed_f)
+
+
+@pytest.mark.parametrize("size,read", [(1, "ring"), (6, "listing")])
+def test_the_component_guard_runs_on_every_set_read(monkeypatch, size, read):
+    # a meet that reports the component holding the point twice for the
+    # first `size` members above it: the walk reads every single member,
+    # but never all six (three planes already meet in the point), which
+    # only a listing reads
+    f, b = golden_fan_and_building("cube_planes")
+    ids, incl = b.members, b.poset.inclusion
+    (i,) = [p for p in range(b.size) if b.member_layer(p).codim == 3]
+    above = [ids[j] for j in range(b.size) if j != i and incl[ids[i]][ids[j]]]
+    meet = LayerPoset.meet
+
+    def doubled(self, elements):
+        comps = meet(self, elements)
+        return comps + comps if sorted(elements) == sorted(above[:size]) else comps
+
+    monkeypatch.setattr(LayerPoset, "meet", doubled)
+    guard = pytest.raises(InvariantViolated, match="member %d lies in 2 components" % i)
+    if read == "ring":
+        with guard:
+            model_ideal(Model(f, b))
+    else:
+        pres = model_ideal(Model(f, b))
+        with guard:
+            pres.groups
+
+
+def test_check_builds_no_listing(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a listing was built")
+
+    for fn in (cli._kept_model, cli._kept_building, cli._kept_poset):
+        fn.cache_clear()
+    monkeypatch.setattr(present, "layer_to_dict", refuse)
+    monkeypatch.setattr(present, "_frozen", refuse)
+    argv = ["--input", str(GOLDEN / "cube_planes.job.json"), "--output", str(tmp_path / "out")]
+    assert cli.main(["check"] + argv) == 0
+    # the same kept model lists its relations for a document
+    with pytest.raises(AssertionError, match="a listing was built"):
+        cli.main(["present"] + argv)
+
+
+# (P1)^4 and its four coordinate hyperplanes: 15 members.  The references
+# above walk every F(i, A) (16,668 of them) or every monomial, so this model
+# has its own tests.
+RANK4 = GOLDEN / "rank4" / "p1x4_hyperplanes.job.json"
+
+
+@functools.lru_cache(maxsize=1)
+def rank4_model():
+    job = load_job(RANK4)
+    return Model(job.fan, job_building(job, job_poset(job)))
+
+
+def test_the_rank4_ring_takes_its_irredundant_f():
+    model = rank4_model()
+    pres = model_ideal(model)
+    kept = filtered_listing(pres, model, nested_set())
+    assert list(pres.ring.relations) == kept
+    others = sum(g != "F" for g, _, _ in pres.groups)
+    assert (len(kept) - others, len(pres.groups) - others) == (193, 16668)
+
+
+@pytest.mark.parametrize("members,rays", [
+    ((0,), ()),  # the point
+    ((14,), ()),  # a hyperplane
+    ((2, 6), ()),
+    ((), (0,)),
+    ((0, 8, 12, 14), ()),  # a full flag: a point of the model
+])
+def test_rank4_strata_have_top_rank_one_and_palindromic_ranks(members, rays):
+    model = rank4_model()
+    pres = stratum_ideal(model, nested_set(members, rays))
+    ranks, torsion = hilbert_function(pres)
+    top = 4 - stratum_size(pres)
+    assert ranks[top] == 1 and not any(ranks[top + 1 :])
+    assert ranks[: top + 1] == ranks[top::-1]
+    assert not any(torsion)
+
+
 @pytest.mark.parametrize("stem", GOLDEN_STEMS)
 def test_a_kept_normal_form_is_what_a_fresh_ring_gives(stem):
     f, b = golden_fan_and_building(stem)
@@ -541,7 +665,7 @@ def test_json_document():
 def test_hilbert_guards_raise():
     def pres(rank, names, relations):
         ring = GradedRing(names, relations)
-        return ModelPresentation(types.SimpleNamespace(rank=rank), None, None, ring, ())
+        return ModelPresentation(types.SimpleNamespace(rank=rank), None, None, ring, tuple)
 
     # Z[x]/(x^3) has ranks (1, 1, 1), Z[x]/(x) has (1, 0, 0)
     with pytest.raises(InvariantViolated, match="above the top degree"):
@@ -566,7 +690,7 @@ def test_guard_raises_under_python_O():
 
         assert False, "asserts must be off under -O"
         ring = GradedRing("x", [{(3,): 1}])
-        pres = ModelPresentation(types.SimpleNamespace(rank=1), None, None, ring, ())
+        pres = ModelPresentation(types.SimpleNamespace(rank=1), None, None, ring, tuple)
         try:
             hilbert_function(pres)
         except InvariantViolated:

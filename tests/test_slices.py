@@ -171,7 +171,7 @@ def test_ideal_equal_when_only_one_ring_lists_a_monomial():
     assert with_monomial.standard_monomials(2) != without.standard_monomials(2)
 
     def pres(ring):
-        return ModelPresentation(None, None, None, ring, ())
+        return ModelPresentation(None, None, None, ring, tuple)
 
     assert ideal_equal_up_to(pres(with_monomial), pres(without), 4)
     assert not ideal_equal_up_to(pres(with_monomial), pres(GradedRing(names, [xy])), 4)
