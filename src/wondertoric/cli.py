@@ -320,6 +320,9 @@ def cmd_betti(job, args):
 
 
 def cmd_check(job, args):
+    if args.max_degree is not None and args.max_degree < job.fan.rank:
+        # the ranks would stop below the top degree the oracle reads
+        raise SchemaError("check needs max_degree >= %d" % job.fan.rank)
     model = _model(job)
     pres = model_ideal(model)
     ranks, torsion = hilbert_function(pres, args.max_degree)

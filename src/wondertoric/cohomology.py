@@ -14,6 +14,13 @@ all monomials is a unit row per non-standard monomial plus the HNF over the
 standard ones, so ranks, torsion and `normal_form` are those of the slice
 over all monomials.
 
+A slice needs the slices below it.  Its echelon takes the rows of the
+relations they kept, shifted, shortest row first, then the own row of each
+relation of its degree, in relation order.  A relation whose row leaves the
+lattice unchanged lies in the ideal of the earlier ones plus the unit
+monomials, and so do its multiples: no slice keeps it, and every slice
+spans the lattice of all the relations.
+
 Slice rows are sparse {column: coefficient} dicts that `shifted_rows` builds
 from a relation's terms and a shift: each exponent tuple of a slice packs into
 one int, so a shifted term's column is one lookup of a sum of two ints.
@@ -146,6 +153,7 @@ class GradedRing:
         self._split = None
         self._standard = {}
         self._tables = {}
+        self._kept = []  # the (terms, degree) relations the built slices kept
         self._powers = {}
         self._normal = {}
 
@@ -251,10 +259,15 @@ class GradedRing:
 
     def slice_table(self, d):
         """(standard monomials, their column index, row echelon of the
-        degree-d relations over those columns)."""
+        degree-d relations over those columns).  Builds the slices below
+        first, in degree order, so `_kept` holds what they kept."""
         if d not in self._tables:
+            if d:
+                self.slice_table(d - 1)
             momos = self.standard_monomials(d)
-            ech = RowEchelon(len(momos), self.shifted_rows(self._split_relations()[1], d))
+            ech = RowEchelon(len(momos), sorted(self.shifted_rows(self._kept, d), key=len))
+            own = [r for r in self._split_relations()[1] if r[1] == d]
+            self._kept += [r for r, row in zip(own, self.shifted_rows(own, d)) if ech.insert(row)]
             self._tables[d] = (momos, {e: k for k, e in enumerate(momos)}, ech)
         return self._tables[d]
 

@@ -79,22 +79,27 @@ class RowEchelon:
         return len(self.pivots)
 
     def insert(self, row):
-        """Add a row: a {column: coefficient} mapping or a dense sequence."""
+        """Add a row: a {column: coefficient} mapping or a dense sequence.
+        Returns whether the lattice grew: the row made a new pivot or the
+        xgcd step replaced one, which happens exactly when the row was not
+        already in the lattice."""
         row = _sparse(row)
+        grew = False
         while row:
             j = min(row)
             p = self.pivots.get(j)
             if p is None:
                 self.pivots[j] = row if row[j] > 0 else {k: -x for k, x in row.items()}
                 self._reduced = False
-                return
+                return True
             if row[j] % p[j]:
                 g, a, b = xgcd(p[j], row[j])
                 self.pivots[j] = _combination(a, p, b, row)
                 row = _combination(-(row[j] // g), p, p[j] // g, row)
-                self._reduced = False
+                self._reduced, grew = False, True
             else:
                 _add_multiple(row, -(row[j] // p[j]), p)
+        return grew
 
     def _reduce(self, row, cols):
         """Reduce a sparse row in place by the pivot rows of cols, in

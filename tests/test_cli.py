@@ -178,6 +178,27 @@ def test_max_degree_flag(tmp_path):
     assert json.load(open(out))["hilbert"] == [1, 3, 1, 0, 0, 0]
 
 
+def test_check_refuses_a_max_degree_below_the_fan_rank(tmp_path, capsys):
+    # the ranks would stop below the top degree, and verify would read the
+    # degrees never computed as 0 and blame a correct ring
+    job = golden_path("cube_planes.job.json")
+    assert main(["check", "--input", job, "--max-degree", "2"]) == 2
+    via_flag = capsys.readouterr()
+    doc = json.load(open(job))
+    doc["options"] = {"max_degree": 2}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(path)]) == 2
+    via_job = capsys.readouterr()
+    assert via_flag.out == via_job.out == ""
+    assert via_flag.err == via_job.err == "schema error: check needs max_degree >= 3\n"
+    # the fan rank itself verifies, and present takes any max_degree
+    out = str(tmp_path / "out")
+    assert main(["check", "--input", job, "--max-degree", "3", "--output", out]) == 0
+    assert json.load(open(out))["hilbert"] == [1, 7, 7, 1]
+    assert main(["present", "--input", str(path), "--output", out]) == 0
+
+
 @pytest.mark.parametrize("flag, key, value", [
     ("--max-degree", "max_degree", -1),
     ("--budget", "budget", -1),

@@ -518,6 +518,37 @@ def test_sparse_echelon_equals_the_dense_form(seq):
     assert_same_echelon(sparse, dense, vectors)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seq=insert_sequences(), data=st.data())
+def test_insert_says_whether_the_row_was_outside_the_lattice(seq, data):
+    # membership is read from a second echelon, so the tested one is never
+    # back-reduced between inserts, as in a slice
+    n, steps, _ = seq
+    rows = [row for row, _ in steps]
+    ech, ref = RowEchelon(n), DenseRowEchelon(n)
+    for row in rows:
+        dense = [row.get(j, 0) for j in range(n)] if isinstance(row, dict) else row
+        outside = any(ref.reduce_vector(dense))
+        assert ech.insert(row) is outside
+        ref.insert(dense)
+    # the lattice, and so its HNF, does not depend on the insertion order
+    order = data.draw(st.permutations(rows))
+    assert RowEchelon(n, order).hnf_rows() == ech.hnf_rows() == ref.hnf_rows()
+
+
+def test_insert_grows_the_lattice_through_the_xgcd_step():
+    ech = RowEchelon(1, [[2]])
+    assert ech.insert([3]) is True  # 2Z + 3Z = Z: the pivot 2 becomes 1
+    assert ech.hnf_rows() == [(1,)]
+    assert ech.insert([5]) is False
+    # a replaced pivot whose remainder then lands on a new pivot
+    ech = RowEchelon(2, [[2, 0]])
+    assert ech.insert([3, 1]) is True
+    assert ech.hnf_rows() == [(1, 1), (0, 2)]
+    assert ech.insert([0, 4]) is False
+    assert ech.insert({}) is False
+
+
 # --- the int Q/Z kernel against its Fraction form ----------------------------
 
 # denominators of the benchmark translations (97), of the torsion tests (6),

@@ -9,6 +9,7 @@ the HNF over all monomials and the restriction-kernel verdicts.
 import functools
 import itertools
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from wondertoric.present import (
     ModelPresentation,
     assemble_model_ideal,
     assemble_stratum_ideal,
+    hilbert_function,
     model_ideal,
     nested_set,
     stratum_ideal,
@@ -113,8 +115,13 @@ def check_normal_forms(ring, top, ref):
 @pytest.mark.parametrize("stem", STEMS)
 def test_golden_slices_match_reference(stem):
     f, _, pres = golden_model(stem)
-    ref = check_slices(pres.ring, f.rank + 1)
-    check_normal_forms(pres.ring, f.rank + 1, ref)
+    rings = [pres.ring]
+    if stem == "p1xp1_curves":  # the strata_sweep model: its 33 strata too
+        model = Model(f, pres.building)
+        rings += [stratum_ideal(model, nested_set(t, r)).ring for t, r in nested_plus_sets(pres.building, f)]
+    for ring in rings:
+        ref = check_slices(ring, f.rank + 1)
+        check_normal_forms(ring, f.rank + 1, ref)
 
 
 def test_cube_model_slices_match_reference():
@@ -280,6 +287,52 @@ def test_cube_normal_form_of_random_polynomials(data):
     assert nf.terms == ref.normal_form(p)
     # the representative is canonical: reducing it again changes nothing
     assert pres.ring.normal_form(nf.poly()).terms == nf.terms
+
+
+# -- a minimal generating set per slice -----------------------------------------
+
+
+def permuted(ring, order):
+    return GradedRing(ring.names, [ring.relations[k] for k in order], ring.eliminate, ring.substitutions)
+
+
+def assert_same_ring(ring, other, top):
+    for d in range(top + 1):
+        assert other.graded_rank(d) == ring.graded_rank(d)
+        assert other.graded_torsion(d) == ring.graded_torsion(d)
+        assert full_hnf_rows(other, d) == full_hnf_rows(ring, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring=small_rings(), data=st.data())
+def test_random_rings_do_not_depend_on_the_relation_order(ring, data):
+    order = data.draw(st.permutations(range(len(ring.relations))))
+    assert_same_ring(ring, permuted(ring, order), 4)
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_golden_rings_do_not_depend_on_the_relation_order(stem):
+    # which relations a slice keeps may depend on the order; the ring may not
+    f, _, pres = golden_model(stem)
+    n = len(pres.ring.relations)
+    rng = random.Random(stem)
+    for order in [range(n - 1, -1, -1)] + [rng.sample(range(n), n) for _ in range(2)]:
+        assert_same_ring(pres.ring, permuted(pres.ring, order), f.rank + 1)
+
+
+@pytest.mark.parametrize("path, kept, non_unit", [
+    ("cube_planes.job.json", 3, 22),
+    ("p1xp1_curves.job.json", 4, 16),
+    ("skew_good.job.json", 10, 25),
+    ("rank4/p1x4_hyperplanes.job.json", 4, 111),
+])
+def test_slices_keep_few_of_the_non_unit_relations(path, kept, non_unit):
+    job = load_job(GOLDEN / path)
+    pres = model_ideal(Model(job.fan, job_building(job, job_poset(job))))
+    hilbert_function(pres)
+    ring = pres.ring
+    assert len(ring._split_relations()[1]) == non_unit
+    assert len(ring._kept) == kept
 
 
 # -- standard monomials by counting ------------------------------------------
