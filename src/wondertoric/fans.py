@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, InvariantViolated, MalformedFan, NotCompatible, RayNotInterior
+from .errors import BudgetExhausted, InvariantViolated, MalformedFan, NotCompatible, NotGood, RayNotInterior
 from .lattice import (
     RowEchelon,
-    elementary_divisors,
     kernel_basis,
     solve_in_lattice,
 )
@@ -153,10 +153,12 @@ def pairing(chi, ray):
 
 
 def validate_smooth(f):
-    """Each max cone's rays must extend to a basis of the ambient lattice."""
+    """Each max cone's rays must extend to a basis of the ambient lattice:
+    HNF pivots all 1 (|det| = 1 for a full cone) say so at once, and only a
+    lower-dimensional or singular cone takes the Smith form of torsion()."""
     bad = []
     for c in f.max_cones:
-        if c and any(d != 1 for d in elementary_divisors([f.rays[i] for i in c])):
+        if c and RowEchelon(f.rank, [f.rays[i] for i in c]).torsion():
             bad.append(("not_smooth", c))
     return Report(tuple(bad))
 
@@ -446,7 +448,11 @@ def relint_coords(f, cone, vec):
 
 def stellar_subdivide(f, cone, new_ray):
     """Star subdivision at new_ray, which must sit in the relative interior
-    of the given cone (a face of some max cone)."""
+    of the given cone (a face of some max cone).  Its star cones need no
+    check: new_ray has coordinates nums[i] / den > 0 on the face
+    (relint_coords), so swapping ray i of a simplicial max cone c for it
+    keeps the rays independent; a full cone's determinant becomes
+    (nums[i] / den) * det(c) != 0."""
     cone = tuple(sorted(int(i) for i in cone))
     if not any(set(cone).issubset(c) for c in f.max_cones):
         raise MalformedFan("not a face of any max cone: %r" % (cone,))
@@ -467,11 +473,7 @@ def stellar_subdivide(f, cone, new_ray):
     cones = []
     for c in f.max_cones:
         if set(cone).issubset(c):
-            for drop in cone:
-                sc = tuple(sorted([i for i in c if i != drop] + [star]))
-                if RowEchelon(f.rank, [rays[i] for i in sc]).rank != len(sc):
-                    raise InvariantViolated("star cone not simplicial: %r" % (sc,))
-                cones.append(sc)
+            cones += (tuple(sorted([i for i in c if i != drop] + [star])) for drop in cone)
         else:
             cones.append(c)
     # the parent is a validated fan and only the star's cones are new
@@ -523,14 +525,19 @@ class _SignState:
 def search_good_fan(f, lattices, budget=64):
     """Greedy repair loop: while some lattice lacks an equal-sign basis,
     stellar-subdivide the smallest violating face at the primitive sum of its
-    rays.  Returns (fan, subdivision count).  Raises BudgetExhausted, naming
-    the lattice, its last violating cone and the character mixed there.
+    rays.  Returns (fan, subdivision count).  Raises NotGood, with the
+    failures of validate_smooth and validate_complete, on a fan that is not
+    smooth and complete, and BudgetExhausted, naming the lattice, its last
+    violating cone and the character mixed there.
 
     A new ray is a positive sum of the rays of one face, so a character
     one-signed on a cone stays so on its star and a basis, once found, stays.
     So each lattice is tested once, on the input fan through the cache; one
     that fails there is followed by its _SignState, and no later fan is cached.
     """
+    base = merge_reports(validate_smooth(f), validate_complete(f))
+    if not base.ok:  # subdivisions repair equal signs only
+        raise NotGood("the search needs a smooth complete fan: %s" % json.dumps(base.failures))
     current, steps = f, 0
     pending = [(idx, lat, _SignState(f, lat)) for idx, lat in enumerate(lattices)
                if find_equal_sign_basis(f, lat) is None]

@@ -4,6 +4,9 @@ A layer is a coset-like subvariety of the torus cut out by character
 equations: a saturated sublattice gamma of the character lattice plus the
 prescribed values phi of those characters, as elements of Q/Z.  phi is stored
 on the canonical HNF basis of gamma, so equal layers compare equal.
+A layer on a saturated lattice is connected, so where its lattice contains
+another's it lies in that layer if its phi restricted there is the other's
+phi, and misses it if not; only crossing lattices need a torsion solve.
 """
 
 from __future__ import annotations
@@ -153,12 +156,29 @@ class LayerPoset:
         return self.components(mask)
 
 
+def _meet(a, b, coords):
+    """intersect_layers([a, b]) on saturated lattices.  coords keeps, per
+    lattice pair, the shallower basis on the deeper one, or None if they cross."""
+    if a.gamma == b.gamma:  # phi restricts to itself
+        return [a] if a.phi == b.phi else []
+    deep, other = (a, b) if a.codim >= b.codim else (b, a)
+    key = (deep.gamma, other.gamma)
+    if key not in coords:
+        rows = [solve_in_lattice(deep.gamma.basis, row) for row in other.gamma.basis]
+        coords[key] = None if None in rows else rows
+    if coords[key] is None:
+        return intersect_layers([a, b])
+    return [deep] if all(qz_dot(c, deep.phi) == v for c, v in zip(coords[key], other.phi)) else []
+
+
 def build_layer_poset(arrangement):
     """Close the arrangement under pairwise component-wise intersection.
 
     Elements are deduplicated Layers sorted canonically; the ambient torus is
-    not included.  Raises ValueError for an empty arrangement or a layer with
-    no characters, NotSplit when an input gamma is not saturated.
+    not included.  A pair with nested (or equal) lattices meets in the
+    deeper layer or nowhere, as its phi restricts; only crossing lattices
+    run intersect_layers.  Raises ValueError for an empty arrangement or a
+    layer with no characters, NotSplit when an input gamma is not saturated.
     """
     if not arrangement:
         raise ValueError("empty arrangement")
@@ -171,10 +191,11 @@ def build_layer_poset(arrangement):
     pool = list(dict.fromkeys(arrangement))
     seen = set(pool)
     inside = []  # (a, b): pool[a] lies in pool[b], a != b
+    coords = {}  # _meet's memo, for this build only
     k = 1
     while k < len(pool):  # semi-naive: each element meets each earlier one once
         for j in range(k):
-            comps = intersect_layers([pool[j], pool[k]])
+            comps = _meet(pool[j], pool[k], coords)
             # a is in b exactly when a meets b in a alone
             if comps == [pool[j]]:
                 inside.append((j, k))

@@ -9,9 +9,10 @@ intersections go through the lattice arithmetic of `intersect_layers` rather
 than the poset's inclusion table.
 The Q/Z, simplex and cone-coordinate kernels are kept here in their
 fractions.Fraction form, the greedy fan search without its record of
-lattices already repaired or of their signs, the face-compatibility check
-with one LP per ray, and the equal-sign searches in the form that pairs a
-character with every ray of every cone and builds a Report per candidate.
+lattices already repaired or of their signs, the smoothness check by the
+Smith form of every cone, the face-compatibility check with one LP per ray,
+and the equal-sign searches in the form that pairs a character with every
+ray of every cone and builds a Report per candidate.
 The Hermite form and the lattice solve are kept as one batch elimination
 with a transform matrix, and the toric elimination as Gauss-Jordan over
 Fractions.  The echelon engine is kept in its dense-list form, and the
@@ -801,6 +802,14 @@ def cone_face_compat_reference(f, lat):
                 bad.append(("interior_meets_kernel", c, j))
                 break
     return Report(tuple(bad))
+
+
+def validate_smooth_reference(f):
+    """fans.validate_smooth by the Smith form of the rays of every cone."""
+    return Report(tuple(
+        ("not_smooth", c) for c in f.max_cones
+        if c and any(d != 1 for d in elementary_divisors([f.rays[i] for i in c]))
+    ))
 
 
 def search_good_fan_reference(f, lattices, budget=64):

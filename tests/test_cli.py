@@ -131,6 +131,27 @@ def test_goodfan_search_on_skew(tmp_path):
     assert doc["seed"] == 0
 
 
+@pytest.mark.parametrize("rays, cones", [
+    ([[1, 0], [0, 1], [-1, 0]], [[0, 1], [1, 2]]),  # a half plane: two lone walls
+    ([[1, 0], [1, 2], [-1, 0], [0, -1], [-1, -2]],
+     [[0, 1], [1, 2], [2, 4], [3, 4], [0, 3]]),  # complete, three singular cones
+    ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [2]]),  # a ray as a max cone
+])
+def test_goodfan_search_refuses_a_fan_that_is_not_smooth_and_complete(rays, cones, tmp_path, capsys):
+    # the search repairs equal signs only; it used to exit 0 with a fan that
+    # goodfan then rejected
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"rank": 2, "fan": {"rank": 2, "rays": rays, "max_cones": cones},
+                               "layers": [{"gamma": [[1, 1]], "phi": ["1/3"]}]}))
+    code, _, _, doc = run_captured(["validate", "--input", str(job)], tmp_path, capsys)
+    report = json.loads(doc)["fan"]
+    failures = report["smooth"]["failures"] + report["complete"]["failures"]
+    assert code == 1 and failures
+    code, out, err, doc = run_captured(["goodfan", "--search", "--input", str(job)], tmp_path, capsys)
+    assert (code, out, doc) == (1, "", None)
+    assert err == "validation failure: the search needs a smooth complete fan: %s\n" % json.dumps(failures)
+
+
 def test_goodfan_records_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("WONDER_SEED", "7")
     out = str(tmp_path / "fixed.json")

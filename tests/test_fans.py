@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -17,9 +18,10 @@ from _oracles import (
     first_equal_sign_violation_reference,
     relint_coords_reference,
     search_good_fan_reference,
+    validate_smooth_reference,
 )
 from wondertoric.chern import equal_sign_adapted_basis
-from wondertoric.errors import BudgetExhausted, MalformedFan, NoBasis, NotCompatible, RayNotInterior
+from wondertoric.errors import BudgetExhausted, MalformedFan, NoBasis, NotCompatible, NotGood, RayNotInterior
 from wondertoric.fans import (
     cone_face_compat,
     fan,
@@ -39,7 +41,7 @@ from wondertoric.fans import (
     validate_good,
     validate_smooth,
 )
-from wondertoric.lattice import saturate, span_rows, sublattice
+from wondertoric.lattice import RowEchelon, saturate, span_rows, sublattice
 from wondertoric.layers import build_layer_poset, layer
 
 P1 = fan(1, [(1,), (-1,)], [(0,), (1,)])
@@ -49,6 +51,11 @@ P2 = fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 def lat(rows, n):
     return sublattice(rows, n)
+
+
+def simplicial(f):
+    """Every max cone has independent rays, by the rank of their echelon."""
+    return all(RowEchelon(f.rank, [f.rays[i] for i in c]).rank == len(c) for c in f.max_cones)
 
 
 def test_factory_rejects_structural_defects():
@@ -247,7 +254,7 @@ def test_json_roundtrip_bit_exact():
 
 def test_search_good_fan_fixes_p2_diagonal_in_one_step():
     fixed, steps = search_good_fan(P2, [lat([[1, -1]], 2)])
-    assert steps == 1
+    assert steps == 1 and simplicial(fixed)
     assert (1, 1) in fixed.rays
     assert validate_good(fixed, [lat([[1, -1]], 2)]).ok
 
@@ -255,13 +262,28 @@ def test_search_good_fan_fixes_p2_diagonal_in_one_step():
 def test_search_good_fan_skew_arrangement():
     lats = [lat([[1, 1]], 2), lat([[1, -1]], 2)]
     fixed, steps = search_good_fan(P1xP1, lats)
-    assert steps == 4
+    assert steps == 4 and simplicial(fixed)
     assert len(fixed.rays) == 8
     assert set(fixed.rays) == {
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
     }
     assert validate_good(fixed, lats).ok
     assert validate_smooth(fixed).ok and validate_complete(fixed).ok
+
+
+@pytest.mark.parametrize("f, failures", [
+    # a half-plane fan: the search cannot close its two lone walls
+    (fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)]),
+     (("wall_count", (0,), 1), ("wall_count", (2,), 1))),
+    # complete but singular: a subdivision keeps a singular cone singular
+    (fan(2, [(1, 0), (1, 2), (-1, 0), (0, -1), (-1, -2)], [(0, 1), (1, 2), (2, 4), (3, 4), (0, 3)]),
+     (("not_smooth", (0, 1)), ("not_smooth", (1, 2)), ("not_smooth", (2, 4)))),
+])
+def test_search_good_fan_refuses_a_fan_that_is_not_smooth_and_complete(f, failures):
+    want = validate_smooth(f).failures + validate_complete(f).failures
+    assert want == failures
+    with pytest.raises(NotGood, match=re.escape(json.dumps(failures))):
+        search_good_fan(f, [lat([[1, 1]], 2)], budget=0)
 
 
 def test_search_good_fan_budget():
@@ -331,6 +353,40 @@ def subdivided_fans(draw):
         if ray not in f.rays:
             f = stellar_subdivide(f, face, ray)
     return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=subdivided_fans())
+def test_subdivided_fans_are_simplicial(f):
+    # a coefficient of 2 can leave a star cone singular, never dependent
+    assert simplicial(f)
+    assert validate_smooth(f) == validate_smooth_reference(f)
+
+
+@st.composite
+def structural_fans(draw):
+    """A rank-1 to rank-3 fan() of one to three cones, each of one to rank
+    independent primitive rays with entries in [-3, 3]: cones overlap and
+    leave gaps, and many are singular or lower-dimensional."""
+    n = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(primitive)
+    cones = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(vec, min_size=1, max_size=n, unique=True))
+        if RowEchelon(n, rows).rank == len(rows):
+            cones.append(frozenset(map(tuple, rows)))
+    cones = [c for c in set(cones) if not any(c < d for d in cones)]
+    rays = sorted(set().union(*cones))
+    return fan(n, rays, [[rays.index(r) for r in c] for c in cones]) if cones else P1
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=structural_fans())
+@example(f=fan(2, [(1, 0), (1, 2)], [(0, 1)]))  # singular, full-dimensional
+@example(f=fan(2, [(2, 3)], [(0,)]))  # a pivot of 2, yet saturated
+@example(f=fan(3, [(1, 1, 0), (1, -1, 0), (0, 0, 1)], [(0, 1), (2,)]))  # index 2 plane
+def test_validate_smooth_equals_the_smith_form_reference(f):
+    assert validate_smooth(f) == validate_smooth_reference(f)
 
 
 def independent_rows(draw, n, min_rows=0, entry=3):
@@ -508,9 +564,11 @@ def signed_labelings(n):
 
 def search_outcome(search, f, lats, budget):
     try:
-        return search(f, lats, budget)
+        fixed, steps = search(f, lats, budget)
     except BudgetExhausted as exc:
         return ("exhausted", str(exc))
+    assert simplicial(fixed)
+    return fixed, steps
 
 
 EXHAUSTED = re.compile(

@@ -18,7 +18,9 @@ from _oracles import (
 from wondertoric.errors import NotSplit
 from wondertoric.fans import fan
 from wondertoric.jobs import job_poset, load_job
+import wondertoric.layers as layers_module
 from wondertoric.layers import (
+    _meet,
     build_layer_poset,
     closure_nonempty_with_orbit,
     intersect_layers,
@@ -27,7 +29,7 @@ from wondertoric.layers import (
     layer_to_dict,
     torus,
 )
-from wondertoric.lattice import elementary_divisors, solve_in_lattice, span_rows
+from wondertoric.lattice import elementary_divisors, saturate, solve_in_lattice, span_rows
 
 H = Fraction(1, 2)
 
@@ -235,14 +237,29 @@ CHARACTERS = {
 }
 
 
+def saturated_layer(rows, ks, n):
+    """The layer on the saturation of span(rows), with values k/97 on its
+    canonical basis."""
+    basis = saturate(span_rows(rows, n)).basis
+    return layer(basis, [Fraction(k, 97) for k in ks[: len(basis)]], n)
+
+
 @st.composite
 def arrangements(draw):
-    """One to three hypersurfaces {chi = k/97} of the rank-2 or rank-3 torus,
-    with primitive characters chi of entries in [-2, 2]."""
+    """Hypersurfaces {chi = k/97} of the rank-2 or rank-3 torus, for one to
+    three primitive characters chi of entries in [-2, 2], each at one to
+    three translates k (parallel layers share a lattice), and at times a
+    codim-2 layer on the saturation of two such characters."""
     n = draw(st.sampled_from(sorted(CHARACTERS)))
     chars = draw(st.lists(st.sampled_from(CHARACTERS[n]), min_size=1, max_size=3, unique=True))
-    ks = draw(st.lists(st.integers(0, 96), min_size=len(chars), max_size=len(chars)))
-    return [layer([chi], [Fraction(k, 97)], n) for chi, k in zip(chars, ks)]
+    out = []
+    for chi in chars:
+        ks = draw(st.lists(st.integers(0, 96), min_size=1, max_size=3, unique=True))
+        out += [layer([chi], [Fraction(k, 97)], n) for k in ks]
+    if draw(st.booleans()):
+        pair = draw(st.lists(st.sampled_from(CHARACTERS[n]), min_size=2, max_size=2, unique=True))
+        out.append(saturated_layer(pair, draw(st.lists(st.integers(0, 96), min_size=2, max_size=2)), n))
+    return out
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,3 +287,56 @@ def test_below_masks_read_the_inclusion_table():
             want = [i for i in range(len(poset.elements)) if poset.inclusion[i][j]]
             assert [i for i in range(len(poset.elements)) if poset.below[j] >> i & 1] == want
             assert poset.components(poset.below[j]) == [j]
+
+
+@st.composite
+def nested_pairs(draw):
+    """Two layers of the rank-1 to rank-3 torus whose lattices are nested
+    (equal included), in either order: a saturated lattice and a saturated
+    sublattice of it, values k/97 or, for the shallower layer half the
+    time, the deeper layer's values restricted to its lattice, at times with
+    its last value moved by 1/97."""
+    n = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    big = saturate(span_rows(draw(st.lists(vec, min_size=1, max_size=n)), n))
+    combos = st.lists(st.integers(-2, 2), min_size=big.rank, max_size=big.rank).filter(any)
+    rows = [[sum(c * r[j] for c, r in zip(combo, big.basis)) for j in range(n)]
+            for combo in draw(st.lists(combos, min_size=1, max_size=big.rank))]
+    ks = st.lists(st.integers(0, 96), min_size=n, max_size=n)
+    deep = saturated_layer(big.basis, draw(ks), n)
+    other = saturated_layer(rows, draw(ks), n)
+    if draw(st.booleans()):
+        phi = [value_on_reference(deep, r) for r in other.gamma.basis]
+        phi[-1] += draw(st.sampled_from([0, Fraction(1, 97)]))
+        other = layer(other.gamma.basis, phi, n)
+    return (deep, other) if draw(st.booleans()) else (other, deep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=nested_pairs())
+def test_meet_of_nested_lattices_equals_intersect_layers(pair):
+    a, b = pair
+    coords = {}
+    assert _meet(a, b, coords) == intersect_layers([a, b])
+    assert list(coords.values()) != [None]  # decided without the torsion solve
+    assert _meet(b, a, coords) == intersect_layers([b, a])
+
+
+CURVES_3_3 = [layer([(1, 0)], [Fraction(k, 97)], 2) for k in (3, 40, 77)] + [
+    layer([(0, 1)], [Fraction(k, 97)], 2) for k in (5, 50, 90)]
+
+
+@pytest.mark.parametrize("name, arrangement, calls", [
+    # 105 pairs of 15 elements: 42 on equal lattices, 54 nested, 9 crossing
+    ("3+3 curves", CURVES_3_3, 9),
+    # 21 pairs of 7 elements: 12 nested, 9 crossing
+    ("cube", [layer([c], [Fraction(k, 97)], 3) for c, k in
+              [((1, 0, 0), 5), ((0, 1, 0), 11), ((0, 0, 1), 60)]], 9),
+])
+def test_only_crossing_lattices_run_the_torsion_solve(name, arrangement, calls, monkeypatch):
+    seen = []
+    solve = layers_module.intersect_layers
+    monkeypatch.setattr(layers_module, "intersect_layers", lambda ls: seen.append(ls) or solve(ls))
+    poset = build_layer_poset(arrangement)
+    assert len(seen) == calls
+    assert poset == poset_closure_reference(arrangement)
