@@ -148,23 +148,6 @@ def building_set(poset, member_ids=None):
     return BuildingSet(poset, order_refining_inclusion(member_ids, poset))
 
 
-def induced_building_on(poset, prefix_ids, z_id):
-    """Building set induced on Z by the members ordered before it: the
-    connected intersections G_i cap Z, each tagged with the position of the
-    first member cutting it.
-
-    Disconnected intersections are skipped; their components are members on
-    their own and re-enter through their own positions.
-    """
-    out = {}  # element id -> position of the first member cutting it
-    for pos, g in enumerate(prefix_ids):
-        comps = poset.meet([g, z_id])
-        # comps == [z_id] cannot happen when the order refines inclusion
-        if len(comps) == 1 and comps[0] != z_id:
-            out.setdefault(comps[0], pos)
-    return list(out.items())
-
-
 def is_nested(t_ids, building):
     """Every antichain of size > 1 must be the set of factors of a component
     of its intersection, with additive codimension.  The first antichain

@@ -387,27 +387,11 @@ def toric_relations(f, nvars):
 def danilov_ring(f):
     """Presentation of the integer cohomology of the toric variety of a
     smooth complete fan, on one generator per ray.  Precondition, not
-    checked here: the fan is smooth and complete, as the fan of a Model
-    (its goodness check covers both) and the fans induced from it are."""
+    checked here: the fan is smooth and complete, as the fan of a Model is
+    (its goodness check covers both)."""
     nvars = len(f.rays)
     names = tuple("c:%d" % i for i in range(nvars))
     relations = [p for _, _, p in toric_relations(f, nvars)]
     eliminate, subst = toric_elimination(f)
     return GradedRing(names, relations, eliminate, subst)
 
-
-def h_vector_oracle(f):
-    """h-vector straight from the face counts of the fan."""
-    from math import comb
-
-    n = f.rank
-    count = {}
-    for s in f.faces:
-        count[len(s)] = count.get(len(s), 0) + 1
-    out = []
-    for k in range(n + 1):
-        h = 0
-        for i in range(k + 1):
-            h += (-1) ** (k - i) * comb(n - i, k - i) * count.get(i, 0)
-        out.append(h)
-    return tuple(out)

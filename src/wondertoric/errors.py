@@ -9,10 +9,6 @@ class MalformedFan(WonderError):
     pass
 
 
-class NotCompatible(WonderError):
-    pass
-
-
 class RayNotInterior(WonderError):
     pass
 

@@ -1,4 +1,4 @@
-"""Smooth complete fans: validation, induced fans, stellar subdivision.
+"""Smooth complete fans: validation, goodness, stellar subdivision.
 
 A Fan stores primitive integer rays and maximal cones as sorted tuples of ray
 indices.  All geometry is exact and in integers: sign checks are pairings,
@@ -13,12 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, InvariantViolated, MalformedFan, NotCompatible, NotGood, RayNotInterior
-from .lattice import (
-    RowEchelon,
-    kernel_basis,
-    solve_in_lattice,
-)
+from .errors import BudgetExhausted, InvariantViolated, MalformedFan, NotGood, RayNotInterior
+from .lattice import RowEchelon
 
 # Entries per memoised (fan, lattice) kernel.  A key keeps its whole fan
 # alive, so the caches stay small: only input fans reach them now, and 256
@@ -372,44 +368,6 @@ def validate_good(f, lattices):
         if not compat.ok:
             reports.append(Report(tuple(("lattice", idx) + fl for fl in compat.failures)))
     return merge_reports(*reports)
-
-
-def induced_fan(f, lat):
-    """Fan induced on the sublattice of vectors annihilated by lat.
-
-    Cones are the cones of f lying inside that subspace, with rays rewritten
-    in the canonical basis of the kernel sublattice.  Requires face
-    compatibility; raises NotCompatible otherwise.  Built as a Fan, as
-    stellar_subdivide builds one: faces of the simplicial cones of a fan, in
-    coordinates of the saturated kernel lattice, keep every invariant that
-    fan() checks.  When f is smooth and complete, so is the result.
-    """
-    compat = cone_face_compat(f, lat)
-    if not compat.ok:
-        raise NotCompatible("fan is not compatible with the sublattice: %r" % (compat.failures,))
-    if lat.rank == 0:
-        return f
-    kernel = kernel_basis(lat.basis, lat.ambient_rank)
-    new_rank = len(kernel)
-    inside = rays_in_kernel(f, lat)
-    sub_cones = []
-    for c in f.max_cones:
-        sc = tuple(i for i in c if i in inside)
-        if sc not in sub_cones:
-            sub_cones.append(sc)
-    maximal = [c for c in sub_cones if not any(set(c) < set(d) for d in sub_cones)]
-    if maximal == [()]:
-        return Fan(0, (), ((),))
-    used = sorted({i for c in maximal for i in c})
-    new_rays = []
-    for i in used:
-        y = solve_in_lattice(kernel, f.rays[i])
-        if y is None:
-            raise InvariantViolated("ray %d is not in the kernel lattice" % i)
-        new_rays.append(y)
-    renumber = {old: new for new, old in enumerate(used)}
-    cones = sorted(tuple(sorted(renumber[i] for i in c)) for c in maximal)
-    return Fan(new_rank, tuple(new_rays), tuple(cones))
 
 
 def relint_coords(f, cone, vec):

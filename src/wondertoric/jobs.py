@@ -18,7 +18,6 @@ from .layers import LayerPoset, build_layer_poset, layer_from_dict
 
 DEFAULT_BUDGET = 64
 
-_TOP_KEYS = {"rank", "fan", "layers", "building", "nested", "options"}
 _OPTION_KEYS = {"max_degree", "budget", "jobs", "output"}
 _NESTED_KEYS = {"members", "rays"}
 _OPTION_LEAST = {"max_degree": 0, "budget": 0, "jobs": 1}  # least accepted value
@@ -52,6 +51,15 @@ def _expect(cond, msg, *args):
         raise SchemaError(msg % args if args else msg)
 
 
+def _check_keys(obj, what, needed, optional=()):
+    """Reject a key of the object outside needed and optional, then a
+    missing needed key, naming the keys."""
+    extra = set(obj) - set(needed) - set(optional)
+    _expect(not extra, "unknown %s keys: %s", what, sorted(extra))
+    if any(k not in obj for k in needed):
+        raise SchemaError("%s needs %s and %s" % (what, ", ".join(needed[:-1]), needed[-1]))
+
+
 def _int_list(value, what):
     _expect(isinstance(value, list), "%s must be a list", what)
     for x in value:
@@ -71,8 +79,7 @@ def check_option(key, value):
 def parse_nested(obj):
     """Nested-set spec {"members": [...], "rays": [...]} to index tuples."""
     _expect(isinstance(obj, dict), "nested must be an object")
-    extra = set(obj) - _NESTED_KEYS
-    _expect(not extra, "unknown nested keys: %s", sorted(extra))
+    _check_keys(obj, "nested", (), _NESTED_KEYS)
     return (
         _int_list(obj.get("members", []), "nested members"),
         _int_list(obj.get("rays", []), "nested rays"),
@@ -81,13 +88,13 @@ def parse_nested(obj):
 
 def job_from_dict(doc):
     _expect(isinstance(doc, dict), "job document must be an object")
-    extra = set(doc) - _TOP_KEYS
-    _expect(not extra, "unknown job keys: %s", sorted(extra))
-    _expect("rank" in doc and "fan" in doc and "layers" in doc, "job needs rank, fan and layers")
+    _check_keys(doc, "job", ("rank", "fan", "layers"), ("building", "nested", "options"))
 
     rank = doc["rank"]
     _expect(isinstance(rank, int) and not isinstance(rank, bool) and rank >= 0, "rank must be a nonnegative integer")
 
+    _expect(isinstance(doc["fan"], dict), "fan must be an object")
+    _check_keys(doc["fan"], "fan", ("rank", "rays", "max_cones"))
     try:
         f = fan_from_dict(doc["fan"])
     except MalformedFan as exc:
@@ -98,6 +105,7 @@ def job_from_dict(doc):
     layers = []
     for i, ld in enumerate(doc["layers"]):
         _expect(isinstance(ld, dict), "layer %d must be an object", i)
+        _check_keys(ld, "layer %d" % i, ("gamma", "phi"))
         try:
             lay = layer_from_dict(ld, rank)
         except WonderError:
@@ -119,8 +127,7 @@ def job_from_dict(doc):
 
     options = doc.get("options", {})
     _expect(isinstance(options, dict), "options must be an object")
-    extra = set(options) - _OPTION_KEYS
-    _expect(not extra, "unknown option keys: %s", sorted(extra))
+    _check_keys(options, "option", (), _OPTION_KEYS)
     max_degree = options.get("max_degree")
     if max_degree is not None:
         check_option("max_degree", max_degree)

@@ -277,19 +277,6 @@ def elementary_divisors(mat):
     return tuple(out)
 
 
-def kernel_basis(mat, n=None):
-    """HNF basis of the integer right kernel {v : mat @ v == 0} as rows."""
-    m = len(mat)
-    if n is None:
-        n = len(mat[0]) if m else 0
-    if m == 0:
-        return hermite_normal_form(identity(n))
-    _, d, v, _ = smith_normal_form(mat)
-    rank = sum(1 for i in range(min(m, n)) if d[i][i])
-    cols = [[v[i][j] for i in range(n)] for j in range(rank, n)]
-    return hermite_normal_form(cols)
-
-
 def solve_in_lattice(basis, target):
     """Integer coords of target in the row lattice of basis, or None.
 

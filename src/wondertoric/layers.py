@@ -213,12 +213,3 @@ def build_layer_poset(arrangement):
         incl[at[a]][at[b]] = True
     return LayerPoset(tuple(pool[i] for i in order), tuple(map(tuple, incl)))
 
-
-def closure_nonempty_with_orbit(lay, cone, f):
-    """Whether the closure of the layer meets the orbit of the cone: true iff
-    every ray of the cone is annihilated by the layer's lattice."""
-    from .fans import pairing
-
-    return all(
-        pairing(chi, f.rays[i]) == 0 for i in cone for chi in lay.gamma.basis
-    )

@@ -6,17 +6,20 @@ numbers of each center.  Centers are wonderful models of induced
 arrangements in their own right, so the computation recurses; no cohomology
 rings are ever touched, which is what makes this an oracle for them.
 
-All stages stay in ambient coordinates: the toric variety of a stage is cut
-by the cones lying in the kernel of the stage lattice, and the arrangement
-of a stage is a set of ambient poset elements.
+All stages stay in ambient coordinates: the fan of a stage is the set of
+cones of the model's fan lying in the kernel of the stage lattice, whose
+face counts alone give its h-vector, and the arrangement of a stage is a
+set of ambient poset elements.
 """
 
 from __future__ import annotations
 
-from .building import induced_building_on, order_refining_inclusion
-from .cohomology import h_vector_oracle
+from collections import Counter
+from math import comb
+
+from .building import order_refining_inclusion
 from .errors import InvariantViolated
-from .fans import Report, induced_fan
+from .fans import Report, rays_in_kernel
 from .layers import torus
 from .present import Model
 
@@ -39,19 +42,39 @@ def keel_step(b_y, b_z, d):
     return tuple(out)
 
 
+def h_vector(n, faces):
+    """h-vector of a simplicial complete fan of rank n from its faces (ray
+    index tuples, the empty face included), by the face counts alone."""
+    count = Counter(map(len, faces))
+    return tuple(
+        sum((-1) ** (k - i) * comb(n - i, k - i) * count[i] for i in range(k + 1))
+        for k in range(n + 1)
+    )
+
+
 def _induced_members(poset, prefix_ids, z_id):
     """Ordered ambient ids of the arrangement the earlier members induce on
-    the center Z."""
-    pairs = induced_building_on(poset, prefix_ids, z_id)
-    return order_refining_inclusion([i for i, _ in pairs], poset)
+    the center Z: each connected G cap Z other than Z (which cannot happen
+    when the order refines inclusion).  A disconnected one is skipped; its
+    components are members and re-enter through their own positions."""
+    meets = (poset.meet([g, z_id]) for g in prefix_ids)
+    return order_refining_inclusion({m[0] for m in meets if len(m) == 1 and m[0] != z_id}, poset)
 
 
 def _stage_betti(f, poset, stage, member_ids, memo):
+    """Betti vector of the stage: the toric variety of the cones of f in the
+    kernel of the stage lattice, blown up along the member centers in order.
+
+    Precondition, which Model guarantees: the stage lattice is the torus's
+    or a poset element's, and f is good for it, so those cones form a
+    smooth complete fan of rank f.rank - lat.rank (face compatibility makes
+    them a fan of the kernel) and their face counts give its h-vector."""
     lat = stage.gamma
     key = (stage, tuple(member_ids))  # the ids index the one poset
     if key in memo:
         return memo[key]
-    b = h_vector_oracle(induced_fan(f, lat))
+    inside = rays_in_kernel(f, lat)
+    b = h_vector(f.rank - lat.rank, [c for c in f.faces if inside.issuperset(c)])
     for pos, mid in enumerate(member_ids):
         center = poset.elements[mid]
         d = center.codim - lat.rank

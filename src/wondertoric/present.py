@@ -39,8 +39,8 @@ from .cohomology import (
     toric_relations,
 )
 from .errors import InvariantViolated, NotGood, NotNested
-from .fans import fan_to_dict, rays_in_kernel, validate_good
-from .layers import closure_nonempty_with_orbit, layer_to_dict, torus
+from .fans import fan_to_dict, pairing, rays_in_kernel, validate_good
+from .layers import layer_to_dict, torus
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _minimal_empty(building, nested, f):
     start = sum(
         1 << k
         for k, e in enumerate(poset.elements)
-        if closure_nonempty_with_orbit(e, nested.rays, f)
+        if not any(pairing(chi, f.rays[i]) for i in nested.rays for chi in e.gamma.basis)
     )
     for p in nested.members:
         start &= poset.below[building.members[p]]

@@ -27,7 +27,11 @@ arithmetic), `lift_chern_pair` (P_G, P_M and P_G_rel from one shared
 adapted basis), `full_hnf_rows` and `ideal_equal_up_to` (relation lattices
 compared over all monomials), and `RingMap`, `restriction_map`,
 `kernel_lattice`, `ideal_slice` and `restriction_kernel_report` (the
-restriction onto a layer closure and its kernel, degree by degree).
+restriction onto a layer closure and its kernel, degree by degree), with
+what they build on: `kernel_basis` (a Smith-form kernel basis),
+`induced_fan` (the fan of the cones in the kernel of a lattice, in the
+coordinates of that kernel) and `closure_nonempty_with_orbit`.  The Betti
+oracle reads the kernel cones straight off the fan's face set instead.
 """
 
 import itertools
@@ -58,10 +62,11 @@ from wondertoric.cohomology import (
 )
 from wondertoric.errors import BudgetExhausted, InvariantViolated, NoBasis
 from wondertoric.fans import (
+    Fan,
     Report,
+    cone_face_compat,
     find_equal_sign_basis,
     first_equal_sign_violation,
-    induced_fan,
     pairing,
     primitive,
     rays_in_kernel,
@@ -72,17 +77,17 @@ from wondertoric.lattice import (
     adapted_basis,
     elementary_divisors,
     hermite_normal_form,
-    kernel_basis,
+    identity,
     qz,
     qz_dot,
     solve_in_lattice,
+    smith_normal_form,
     sublattice,
     torsion_frame,
     xgcd,
 )
 from wondertoric.layers import (
     LayerPoset,
-    closure_nonempty_with_orbit,
     intersect_layers,
     layer_to_dict,
     torus,
@@ -931,7 +936,66 @@ def equal_sign_adapted_basis_reference(f, g_lat, m_lat, bound=2):
 # -- references that no command runs -----------------------------------------
 # Layer inclusion by lattice arithmetic, the lift of a pair from one shared
 # basis, HNFs over all monomials, and the restriction maps with their kernel
-# lattices: the package computes none of them on its way to a presentation.
+# lattices and induced fans: the package computes none of them on its way to
+# a presentation.
+
+
+def kernel_basis(mat, n=None):
+    """HNF basis of the integer right kernel {v : mat @ v == 0} as rows."""
+    m = len(mat)
+    if n is None:
+        n = len(mat[0]) if m else 0
+    if m == 0:
+        return hermite_normal_form(identity(n))
+    _, d, v, _ = smith_normal_form(mat)
+    rank = sum(1 for i in range(min(m, n)) if d[i][i])
+    cols = [[v[i][j] for i in range(n)] for j in range(rank, n)]
+    return hermite_normal_form(cols)
+
+
+def induced_fan(f, lat):
+    """Fan induced on the sublattice of vectors annihilated by lat.
+
+    Cones are the cones of f lying inside that subspace, with rays rewritten
+    in the canonical basis of the kernel sublattice.  Requires face
+    compatibility; raises ValueError otherwise.  Built as a Fan, as
+    stellar_subdivide builds one: faces of the simplicial cones of a fan, in
+    coordinates of the saturated kernel lattice, keep every invariant that
+    fan() checks.  When f is smooth and complete, so is the result.
+    """
+    compat = cone_face_compat(f, lat)
+    if not compat.ok:
+        raise ValueError("fan is not compatible with the sublattice: %r" % (compat.failures,))
+    if lat.rank == 0:
+        return f
+    kernel = kernel_basis(lat.basis, lat.ambient_rank)
+    inside = rays_in_kernel(f, lat)
+    sub_cones = []
+    for c in f.max_cones:
+        sc = tuple(i for i in c if i in inside)
+        if sc not in sub_cones:
+            sub_cones.append(sc)
+    maximal = [c for c in sub_cones if not any(set(c) < set(d) for d in sub_cones)]
+    if maximal == [()]:
+        return Fan(0, (), ((),))
+    used = sorted({i for c in maximal for i in c})
+    new_rays = []
+    for i in used:
+        y = solve_in_lattice(kernel, f.rays[i])
+        if y is None:
+            raise InvariantViolated("ray %d is not in the kernel lattice" % i)
+        new_rays.append(y)
+    renumber = {old: new for new, old in enumerate(used)}
+    cones = sorted(tuple(sorted(renumber[i] for i in c)) for c in maximal)
+    return Fan(len(kernel), tuple(new_rays), tuple(cones))
+
+
+def closure_nonempty_with_orbit(lay, cone, f):
+    """Whether the closure of the layer meets the orbit of the cone: true iff
+    every ray of the cone is annihilated by the layer's lattice."""
+    return all(
+        pairing(chi, f.rays[i]) == 0 for i in cone for chi in lay.gamma.basis
+    )
 
 
 def value_on(lay, chi):

