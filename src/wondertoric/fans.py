@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, InvariantViolated, MalformedFan, NotGood, RayNotInterior
@@ -56,6 +57,16 @@ class Fan:
             s for c in self.max_cones for k in range(len(c) + 1)
             for s in itertools.combinations(c, k)
         )
+
+    @functools.cached_property
+    def incidence(self):
+        """Per ray, the bitmask of the max cones holding it, by position in
+        max_cones."""
+        masks = [0] * len(self.rays)
+        for k, c in enumerate(self.max_cones):
+            for i in c:
+                masks[i] |= 1 << k
+        return tuple(masks)
 
 
 def fan(rank, rays, max_cones):
@@ -145,7 +156,7 @@ def primitive(vec):
 
 
 def pairing(chi, ray):
-    return sum(int(a) * int(b) for a, b in zip(chi, ray))
+    return sum(map(operator.mul, chi, ray))
 
 
 def validate_smooth(f):
@@ -161,40 +172,27 @@ def validate_smooth(f):
 
 def validate_complete(f):
     """Wall criterion: all max cones full-dimensional, every wall shared by
-    exactly two of them, and the wall-adjacency graph connected."""
+    exactly two of them, and the wall-adjacency graph connected.  The owners
+    of a wall are the AND of its rays' incidence masks."""
     if f.rank == 0:
         return Report()
-    bad = []
-    for c in f.max_cones:
-        if len(c) != f.rank:
-            bad.append(("not_full_dimensional", c))
+    bad = tuple(("not_full_dimensional", c) for c in f.max_cones if len(c) != f.rank)
     if bad:
-        return Report(tuple(bad))
-    walls = {}
-    for ci, c in enumerate(f.max_cones):
+        return Report(bad)
+    every = (1 << len(f.max_cones)) - 1
+    owners = {}
+    for c in f.max_cones:
         for drop in c:
-            walls.setdefault(tuple(i for i in c if i != drop), []).append(ci)
-    for w, owners in sorted(walls.items()):
-        if len(owners) != 2:
-            bad.append(("wall_count", w, len(owners)))
-    if not bad:
-        seen = {0}
-        frontier = [0]
-        adj = {}
-        for owners in walls.values():
-            if len(owners) == 2:
-                a, b = owners
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != len(f.max_cones):
-            bad.append(("disconnected", len(seen), len(f.max_cones)))
-    return Report(tuple(bad))
+            wall = tuple(i for i in c if i != drop)
+            owners[wall] = functools.reduce(operator.and_, (f.incidence[i] for i in wall), every)
+    bad = tuple(("wall_count", w, m.bit_count()) for w, m in sorted(owners.items()) if m.bit_count() != 2)
+    reached, grown = 0, 1  # the max cones wall-adjacent to the first, round by round
+    while not bad and grown != reached:
+        reached = grown
+        grown = functools.reduce(operator.or_, (m for m in owners.values() if m & reached), reached)
+    if not bad and reached != every:
+        bad = (("disconnected", reached.bit_count(), len(f.max_cones)),)
+    return Report(bad)
 
 
 def _as_int(x):
@@ -257,18 +255,14 @@ def feasible_nonneg(A, b):
 
 def rays_in_kernel(f, lat):
     """Indices of fan rays killed by every character in the sublattice."""
-    return frozenset(
-        i
-        for i, r in enumerate(f.rays)
-        if all(pairing(chi, r) == 0 for chi in lat.basis)
-    )
+    return frozenset(i for i, r in enumerate(f.rays) if not any(pairing(chi, r) for chi in lat.basis))
 
 
 @functools.lru_cache(maxsize=FAN_CACHE_SIZE)
 def cone_face_compat(f, lat):
     """For each max cone C, {x in C : all of lat vanishes on x} must be the
     face spanned by the rays of C lying in that kernel subspace."""
-    values = [[sum(a * b for a, b in zip(chi, r)) for r in f.rays] for chi in lat.basis]
+    values = [[pairing(chi, r) for r in f.rays] for chi in lat.basis]
     bad = []
     for c in f.max_cones:
         A = [[v[i] for i in c] for v in values]
@@ -289,38 +283,33 @@ def cone_face_compat(f, lat):
     return Report(tuple(bad))
 
 
-def _signs(chi, rays, start=0, signs=None):
-    """The (positive, negative) sets of the indices of rays, from start on
-    (added to signs if given), where chi pairs with that sign."""
-    pos, neg = signs or (set(), set())
-    for i in range(start, len(rays)):
-        v = sum(a * b for a, b in zip(chi, rays[i]))
-        if v:
-            (pos if v > 0 else neg).add(i)
+def _signs(values, f):
+    """(pos, neg): the ORs of f.incidence over the rays whose values (one
+    per ray, a character's pairings) are positive and negative.  The
+    character is mixed on the max cones of pos & neg."""
+    pos = neg = 0
+    for v, m in zip(values, f.incidence):
+        if v > 0:
+            pos |= m
+        elif v < 0:
+            neg |= m
     return pos, neg
-
-
-def _mixed(signs, cone):
-    """True when the character of the signs takes both on the cone's rays."""
-    return not signs[0].isdisjoint(cone) and not signs[1].isdisjoint(cone)
 
 
 def one_signed(f, chi):
     """True when chi pairs with the rays of every max cone using one sign."""
-    signs = _signs(chi, f.rays)
-    return not any(_mixed(signs, c) for c in f.max_cones)
+    pos, neg = _signs([pairing(chi, r) for r in f.rays], f)
+    return not pos & neg
 
 
 def _candidates(lat):
     """(combo, chi): the characters chi = combo . canonical basis of lat for
     primitive combos over COEFF_ORDER, in product order (simple first)."""
+    cols = list(zip(*lat.basis))
     for combo in itertools.product(COEFF_ORDER, repeat=lat.rank):
         combo = combo[::-1]  # vary the first basis coefficient fastest
         if math.gcd(*combo) == 1:
-            yield combo, tuple(
-                sum(c * row[j] for c, row in zip(combo, lat.basis))
-                for j in range(lat.ambient_rank)
-            )
+            yield combo, tuple(pairing(combo, col) for col in cols)
 
 
 def _pick_basis(s, candidates):
@@ -412,7 +401,10 @@ def stellar_subdivide(f, cone, new_ray):
     keeps the rays independent; a full cone's determinant becomes
     (nums[i] / den) * det(c) != 0."""
     cone = tuple(sorted(int(i) for i in cone))
-    if not any(set(cone).issubset(c) for c in f.max_cones):
+    holding = (1 << len(f.max_cones)) - 1  # the max cones that hold the face
+    for i in cone:
+        holding &= f.incidence[i] if 0 <= i < len(f.rays) else 0
+    if not holding:
         raise MalformedFan("not a face of any max cone: %r" % (cone,))
     if not cone:
         raise RayNotInterior("the zero cone has no interior ray")
@@ -429,8 +421,8 @@ def stellar_subdivide(f, cone, new_ray):
     rays = f.rays + (new_ray,)
     star = len(f.rays)
     cones = []
-    for c in f.max_cones:
-        if set(cone).issubset(c):
+    for k, c in enumerate(f.max_cones):
+        if holding >> k & 1:
             cones += (tuple(sorted([i for i in c if i != drop] + [star])) for drop in cone)
         else:
             cones.append(c)
@@ -440,43 +432,42 @@ def stellar_subdivide(f, cone, new_ray):
 
 def first_equal_sign_violation(f, lat, signs=None):
     """Deterministic pick of a (cone, character, face) violation for the
-    canonical basis of lat, or None when every cone is fine.  signs: the
-    _signs of the basis rows on f, when the caller keeps them."""
-    signs = signs or [_signs(chi, f.rays) for chi in lat.basis]
-    for c in f.max_cones:
-        for chi, (pos, neg) in zip(lat.basis, signs):
-            if not pos.isdisjoint(c) and not neg.isdisjoint(c):
-                return c, chi, tuple(i for i in c if i in pos or i in neg)
-    return None
+    canonical basis of lat, or None when every cone is fine: the first max
+    cone where a row is mixed, and the first such row.  signs: the _signs of
+    the basis rows on f, when the caller keeps them."""
+    signs = signs or [_signs([pairing(chi, r) for r in f.rays], f) for chi in lat.basis]
+    mixed = functools.reduce(operator.or_, (pos & neg for pos, neg in signs), 0)
+    if not mixed:
+        return None
+    k = (mixed & -mixed).bit_length() - 1
+    c = f.max_cones[k]
+    chi = next(chi for chi, (pos, neg) in zip(lat.basis, signs) if (pos & neg) >> k & 1)
+    return c, chi, tuple(i for i in c if pairing(chi, f.rays[i]))
 
 
 class _SignState:
-    """The _signs of the candidates of find_equal_sign_basis and then of the
-    canonical rows of a lattice, each with a max cone where it is mixed, or
-    None once it is one-signed: then it stays so, and its signs are let be
-    (stale, they still show it mixed on no cone)."""
+    """The ray pairings of the candidates of find_equal_sign_basis and then
+    of the canonical rows of a lattice, and their _signs on the last synced
+    fan.  A character one-signed there stays so on every later star, so its
+    signs are let be (stale, they still show it mixed on no cone)."""
 
-    def __init__(self, f, lat):
+    def __init__(self, lat):
         self.cands = list(_candidates(lat))
-        chars = [chi for _, chi in self.cands] + list(lat.basis)
-        self.signs = [_signs(chi, f.rays) for chi in chars]
-        self.mixed = [next((c for c in f.max_cones if _mixed(sg, c)), None) for sg in self.signs]
-        self.chars, self.nrays = chars, len(f.rays)
+        self.chars = [chi for _, chi in self.cands] + list(lat.basis)
+        self.values = [[] for _ in self.chars]
+        self.signs = [(-1, -1)] * len(self.chars)  # mixed until synced
 
     def sync(self, f):
-        """Follow star subdivisions into f; a lost mixed cone is sought anew."""
-        cones, new = set(f.max_cones), [c for c in f.max_cones if c[-1] >= self.nrays]
-        for k, chi in enumerate(self.chars):
-            if self.mixed[k] is not None:
-                sg = _signs(chi, f.rays, self.nrays, self.signs[k])
-                if self.mixed[k] not in cones:
-                    order = itertools.chain(new, f.max_cones)
-                    self.mixed[k] = next((c for c in order if _mixed(sg, c)), None)
-        self.nrays = len(f.rays)
+        """Follow star subdivisions into f: only new rays are paired."""
+        for k, (pos, neg) in enumerate(self.signs):
+            if pos & neg:
+                values, chi = self.values[k], self.chars[k]
+                values += [pairing(chi, r) for r in f.rays[len(values):]]
+                self.signs[k] = _signs(values, f)
 
     def has_basis(self, s):
         """Whether find_equal_sign_basis finds a basis on the synced fan."""
-        signed = [cand for cand, c in zip(self.cands, self.mixed) if c is None]
+        signed = [cand for cand, (pos, neg) in zip(self.cands, self.signs) if not pos & neg]
         return _pick_basis(s, signed) is not None
 
 
@@ -497,7 +488,7 @@ def search_good_fan(f, lattices, budget=64):
     if not base.ok:  # subdivisions repair equal signs only
         raise NotGood("the search needs a smooth complete fan: %s" % json.dumps(base.failures))
     current, steps = f, 0
-    pending = [(idx, lat, _SignState(f, lat)) for idx, lat in enumerate(lattices)
+    pending = [(idx, lat, _SignState(lat)) for idx, lat in enumerate(lattices)
                if find_equal_sign_basis(f, lat) is None]
     for idx, lat, signs in pending:
         signs.sync(current)

@@ -11,6 +11,7 @@ phi, and misses it if not; only crossing lattices need a torsion solve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .lattice import (
     is_split_summand,
     qz,
     qz_dot,
+    qz_numerators,
     solve_in_lattice,
     solve_torsion_congruences,
     span_rows,
@@ -106,12 +108,8 @@ def intersect_layers(layers):
     n = layers[0].ambient_rank
     if any(l.ambient_rank != n for l in layers):
         raise ValueError("ambient ranks differ")
-    gens = []
-    values = []
-    for l in layers:
-        for row, v in zip(l.gamma.basis, l.phi):
-            gens.append(list(row))
-            values.append(v)
+    gens = [list(row) for l in layers for row in l.gamma.basis]
+    values = [v for l in layers for v in l.phi]
     if not gens:
         return [torus(n)]
     sat = torsion_frame(gens, n).sat
@@ -156,19 +154,28 @@ class LayerPoset:
         return self.components(mask)
 
 
+def _entry(lay, lattices):
+    """lay as a pool element of build_layer_poset: (lay, the id of its lattice
+    in lattices, which it joins if new, phi numerators, their denominator)."""
+    return (lay, lattices.setdefault(lay.gamma, len(lattices)), *qz_numerators(lay.phi))
+
+
 def _meet(a, b, coords):
-    """intersect_layers([a, b]) on saturated lattices.  coords keeps, per
-    lattice pair, the shallower basis on the deeper one, or None if they cross."""
-    if a.gamma == b.gamma:  # phi restricts to itself
-        return [a] if a.phi == b.phi else []
-    deep, other = (a, b) if a.codim >= b.codim else (b, a)
-    key = (deep.gamma, other.gamma)
-    if key not in coords:
-        rows = [solve_in_lattice(deep.gamma.basis, row) for row in other.gamma.basis]
-        coords[key] = None if None in rows else rows
-    if coords[key] is None:
-        return intersect_layers([a, b])
-    return [deep] if all(qz_dot(c, deep.phi) == v for c, v in zip(coords[key], other.phi)) else []
+    """intersect_layers([a[0], b[0]]) for _entry values on saturated lattices.
+    coords keeps, per pair of lattice ids, the shallower basis on the deeper
+    one, or None if they cross: saturated lattices of one rank nest only when
+    equal, so only lattices of two ranks are solved."""
+    (deep, i, nums, den), (other, j, onums, oden) = (a, b) if a[0].codim >= b[0].codim else (b, a)
+    if i == j:  # phi restricts to itself
+        return [deep] if (nums, den) == (onums, oden) else []
+    if (i, j) not in coords:
+        rows = deep.codim > other.codim and [solve_in_lattice(deep.gamma.basis, r) for r in other.gamma.basis]
+        coords[i, j] = rows if rows and None not in rows else None
+    if coords[i, j] is None:
+        return intersect_layers([a[0], b[0]])
+    # qz(c . deep phi) == the other's value, cross-multiplied over both denominators
+    fits = all(sum(map(operator.mul, c, nums)) % den * oden == v * den for c, v in zip(coords[i, j], onums))
+    return [deep] if fits else []
 
 
 def build_layer_poset(arrangement):
@@ -188,24 +195,26 @@ def build_layer_poset(arrangement):
             raise ValueError("layer %d has no characters: it is the whole torus" % i)
         if not is_split_summand(l.gamma):
             raise NotSplit("layer lattice is not saturated: %r" % (l.gamma.basis,))
-    pool = list(dict.fromkeys(arrangement))
-    seen = set(pool)
+    lattices, coords = {}, {}  # _entry's ids and _meet's memo, for this build only
+    seen = dict.fromkeys(arrangement)
+    pool = [_entry(l, lattices) for l in seen]
     inside = []  # (a, b): pool[a] lies in pool[b], a != b
-    coords = {}  # _meet's memo, for this build only
     k = 1
     while k < len(pool):  # semi-naive: each element meets each earlier one once
         for j in range(k):
             comps = _meet(pool[j], pool[k], coords)
-            # a is in b exactly when a meets b in a alone
-            if comps == [pool[j]]:
+            # a is in b exactly when a meets b in a alone, which is in the pool
+            if comps == [pool[j][0]]:
                 inside.append((j, k))
-            elif comps == [pool[k]]:
+            elif comps == [pool[k][0]]:
                 inside.append((k, j))
-            for comp in comps:
-                if comp not in seen:
-                    seen.add(comp)
-                    pool.append(comp)
+            else:
+                for comp in comps:
+                    if comp not in seen:
+                        seen[comp] = None
+                        pool.append(_entry(comp, lattices))
         k += 1
+    pool = [e[0] for e in pool]
     order = sorted(range(len(pool)), key=lambda i: pool[i].sort_key())
     at = {i: r for r, i in enumerate(order)}
     incl = [[a == b for b in order] for a in order]

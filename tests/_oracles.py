@@ -12,7 +12,10 @@ fractions.Fraction form, the greedy fan search without its record of
 lattices already repaired or of their signs, the smoothness check by the
 Smith form of every cone, the face-compatibility check with one LP per ray,
 and the equal-sign searches in the form that pairs a character with every
-ray of every cone and builds a Report per candidate.
+ray of every cone and builds a Report per candidate.  The fan's incidence
+masks are kept as a membership test of every ray in every max cone, the
+cones a star replaces as an issubset scan, and the wall criterion as lists
+of owner cones per wall.
 The Hermite form and the lattice solve are kept as one batch elimination
 with a transform matrix, and the toric elimination as Gauss-Jordan over
 Fractions.  The echelon engine is kept in its dense-list form, and the
@@ -815,6 +818,52 @@ def validate_smooth_reference(f):
         ("not_smooth", c) for c in f.max_cones
         if c and any(d != 1 for d in elementary_divisors([f.rays[i] for i in c]))
     ))
+
+
+def validate_complete_reference(f):
+    """fans.validate_complete with a list of owner cones per wall and a
+    graph search over the walls' owner pairs."""
+    if f.rank == 0:
+        return Report()
+    bad = [("not_full_dimensional", c) for c in f.max_cones if len(c) != f.rank]
+    if bad:
+        return Report(tuple(bad))
+    walls = {}
+    for ci, c in enumerate(f.max_cones):
+        for drop in c:
+            walls.setdefault(tuple(i for i in c if i != drop), []).append(ci)
+    bad = [("wall_count", w, len(owners)) for w, owners in sorted(walls.items()) if len(owners) != 2]
+    if bad:
+        return Report(tuple(bad))
+    seen, frontier = {0}, [0]
+    while frontier:
+        cur = frontier.pop()
+        for owners in walls.values():
+            if cur in owners:
+                frontier += [o for o in owners if o not in seen]
+                seen.update(owners)
+    if len(seen) != len(f.max_cones):
+        return Report((("disconnected", len(seen), len(f.max_cones)),))
+    return Report()
+
+
+def incidence_reference(f):
+    """Fan.incidence by testing every ray against every max cone."""
+    return tuple(
+        sum(1 << k for k, c in enumerate(f.max_cones) if i in c) for i in range(len(f.rays))
+    )
+
+
+def star_cones_reference(f, cone, star):
+    """The max cones of stellar_subdivide(f, cone, ray) when the new ray gets
+    index star, by an issubset scan over every max cone of f."""
+    out = []
+    for c in f.max_cones:
+        if set(cone).issubset(c):
+            out += [tuple(sorted([i for i in c if i != drop] + [star])) for drop in cone]
+        else:
+            out.append(c)
+    return tuple(out)
 
 
 def search_good_fan_reference(f, lattices, budget=64):

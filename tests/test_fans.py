@@ -16,9 +16,12 @@ from _oracles import (
     feasible_nonneg_reference,
     find_equal_sign_basis_reference,
     first_equal_sign_violation_reference,
+    incidence_reference,
     induced_fan,
     relint_coords_reference,
     search_good_fan_reference,
+    star_cones_reference,
+    validate_complete_reference,
     validate_smooth_reference,
 )
 from wondertoric.chern import equal_sign_adapted_basis
@@ -411,6 +414,97 @@ def test_sign_searches_equal_the_per_cone_references(f, data):
     # the search's canonical-row candidates: no basis means a mixed row
     if found is None:
         assert violation is not None
+
+
+def divergent_fans(steps):
+    """The fans of the first steps of the divergent search on the cube: each
+    stars the face that the reference pick names for the plane x+y+z=0 at
+    the sum of its rays.  Their rays grow like the Fibonacci numbers."""
+    plane, f, out = sublattice([(1, 1, 1)], 3), CUBE, []
+    for _ in range(steps):
+        _, _, face = first_equal_sign_violation_reference(f, plane)
+        f = stellar_subdivide(f, face, primitive([sum(f.rays[i][j] for i in face) for j in range(3)]))
+        out.append(f)
+    return out
+
+
+DIVERGENT = divergent_fans(64)
+
+
+@st.composite
+def starred_fans(draw):
+    """The square, the cube or one of the divergent search's fans, after up
+    to two stellar subdivisions at a positive combination (coefficients 1
+    to 3) of the rays of a nonzero face; the face and ray of a last one."""
+    f = draw(st.sampled_from([P1xP1, CUBE] + DIVERGENT[::8] + DIVERGENT[-2:]))
+    for k in range(draw(st.integers(0, 3))):
+        face = draw(st.sampled_from([c for c in f.faces if c]))
+        lams = draw(st.lists(st.integers(1, 3), min_size=len(face), max_size=len(face)))
+        ray = primitive([sum(l * f.rays[i][j] for l, i in zip(lams, face)) for j in range(f.rank)])
+        if ray in f.rays:
+            continue
+        if k == 2:
+            return f, face, ray
+        f = stellar_subdivide(f, face, ray)
+    return f, None, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=starred_fans(), data=st.data())
+@example(drawn=(DIVERGENT[-1], DIVERGENT[-1].max_cones[0], None), data=None)  # 13-digit rays
+def test_incidence_masks_equal_the_per_cone_references(drawn, data):
+    f, face, ray = drawn
+    assert f.incidence == incidence_reference(f)
+    assert validate_complete(f) == validate_complete_reference(f)
+    chars = [(1, 1, 1)[: f.rank], f.rays[-1]]
+    rows = []
+    if data is not None:
+        entries = st.lists(st.integers(-3, 3), min_size=f.rank, max_size=f.rank)
+        chars += data.draw(st.lists(entries, max_size=3))
+        rows = independent_rows(data.draw, f.rank)
+    for chi in chars:
+        assert one_signed(f, chi) is equal_sign_check_reference(f, [chi]).ok
+    for L in (sublattice(rows, f.rank), sublattice([chars[0]], f.rank)):
+        assert first_equal_sign_violation(f, L) == first_equal_sign_violation_reference(f, L)
+    if ray is not None:
+        starred = stellar_subdivide(f, face, ray)
+        assert starred.max_cones == star_cones_reference(f, face, len(f.rays))
+        assert starred.incidence == incidence_reference(starred)
+
+
+def test_divergent_fans_reach_thirteen_digit_rays():
+    assert max(abs(x) for r in DIVERGENT[-1].rays for x in r) >= 10 ** 12
+    # the cone that the pinned message of the exhausted search names
+    plane = sublattice([(1, 1, 1)], 3)
+    assert first_equal_sign_violation(DIVERGENT[-1], plane)[0] == (5, 68, 69)
+
+
+def test_stellar_subdivide_keeps_its_errors():
+    # an index out of range either way, and rays 0 and 1 of the square,
+    # which are opposite, are no face; the empty cone is one
+    for cone, named in (((0, 4), "(0, 4)"), ((-1,), "(-1,)"), ((1, 0), "(0, 1)")):
+        with pytest.raises(MalformedFan, match="^not a face of any max cone: %s$" % re.escape(named)):
+            stellar_subdivide(P1xP1, cone, (1, 1))
+    with pytest.raises(RayNotInterior, match="^the zero cone has no interior ray$"):
+        stellar_subdivide(P1xP1, (), (1, 1))
+    with pytest.raises(RayNotInterior, match="^the zero cone has no interior ray$"):
+        stellar_subdivide(fan(0, (), ((),)), (), ())
+
+
+TWO_SQUARES = fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)],
+                  [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.one_of(structural_fans(), subdivided_fans()))
+@example(f=TWO_SQUARES)  # every wall has two owners, yet two components
+@example(f=fan(0, (), ((),)))
+def test_validate_complete_equals_the_owner_list_reference(f):
+    assert validate_complete(f) == validate_complete_reference(f)
+
+
+def test_validate_complete_finds_two_components():
+    assert validate_complete(TWO_SQUARES).failures == (("disconnected", 4, 8),)
 
 
 def adapted_outcome(search, f, g, m):

@@ -21,6 +21,7 @@ from wondertoric.fans import fan
 from wondertoric.jobs import job_poset, load_job
 import wondertoric.layers as layers_module
 from wondertoric.layers import (
+    _entry,
     _meet,
     build_layer_poset,
     intersect_layers,
@@ -316,10 +317,11 @@ def nested_pairs(draw):
 @given(pair=nested_pairs())
 def test_meet_of_nested_lattices_equals_intersect_layers(pair):
     a, b = pair
-    coords = {}
-    assert _meet(a, b, coords) == intersect_layers([a, b])
+    lattices, coords = {}, {}
+    ea, eb = _entry(a, lattices), _entry(b, lattices)
+    assert _meet(ea, eb, coords) == intersect_layers([a, b])
     assert list(coords.values()) != [None]  # decided without the torsion solve
-    assert _meet(b, a, coords) == intersect_layers([b, a])
+    assert _meet(eb, ea, coords) == intersect_layers([b, a])
 
 
 CURVES_3_3 = [layer([(1, 0)], [Fraction(k, 97)], 2) for k in (3, 40, 77)] + [
@@ -340,3 +342,33 @@ def test_only_crossing_lattices_run_the_torsion_solve(name, arrangement, calls, 
     poset = build_layer_poset(arrangement)
     assert len(seen) == calls
     assert poset == poset_closure_reference(arrangement)
+
+
+def skew_family():
+    """oracle_repair's translated skew family: the curves chi = <chi, p>
+    for the four skew characters through one torus point p, under every
+    signed coordinate permutation.  Every point of the poset lies on Z^2."""
+    skew = ((1, 1), (1, -1), (1, 2), (2, 1))
+    for perm in itertools.permutations(range(2)):
+        for signs in itertools.product((1, -1), repeat=2):
+            for point in ((0, 0), (13, 71)):
+                chis = [tuple(s * chi[p] for s, p in zip(signs, perm)) for chi in skew]
+                yield [layer([c], [Fraction(sum(a * b for a, b in zip(c, point)) % 97, 97)], 2)
+                       for c in chis]
+
+
+@pytest.mark.parametrize("arrangement", [CURVES_3_3] + list(skew_family()))
+def test_shared_lattices_run_one_solve_per_lattice_pair(arrangement, monkeypatch):
+    # many elements share a lattice; each pair of lattices of two ranks is
+    # solved once, row by row, and lattices of one rank not at all
+    seen = []
+    solve = layers_module.solve_in_lattice
+    monkeypatch.setattr(layers_module, "solve_in_lattice",
+                        lambda basis, row: seen.append((basis, row)) or solve(basis, row))
+    poset = build_layer_poset(arrangement)
+    assert poset == poset_closure_reference(arrangement)
+    lats = {e.gamma for e in poset.elements}
+    assert len(lats) < len(poset.elements)
+    want = [(deep.basis, row) for deep in lats for other in lats if deep.rank > other.rank
+            for row in other.basis]
+    assert sorted(seen) == sorted(want)

@@ -197,6 +197,52 @@ def test_ring_and_model_memos_hang_off_their_objects():
     assert found == []
 
 
+# Every process-wide memo in the package, with its maxsize: such a cache
+# holds memory for the life of the process, so a new one, or a larger
+# bound, must be added here on purpose.
+PROCESS_CACHES = {
+    "lattice.py:_solve_in_lattice": "CACHE_SIZE",
+    "lattice.py:saturate": "CACHE_SIZE",
+    "lattice.py:_torsion_frame": "CACHE_SIZE",
+    "fans.py:find_equal_sign_basis": "FAN_CACHE_SIZE",
+    "fans.py:cone_face_compat": "FAN_CACHE_SIZE",
+    "cli.py:_kept_poset": "1",
+    "cli.py:_kept_building": "1",
+    "cli.py:_kept_model": "1",
+    "cli.py:_parser": "1",
+}
+
+
+def test_every_process_wide_cache_is_pinned_with_its_size():
+    found, uses = {}, 0
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        name = os.path.basename(path)
+        tree = _parse(name)
+        uses += sum(
+            (node.attr if isinstance(node, ast.Attribute) else node.id) in ("lru_cache", "cache")
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        )
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                func = call.func if call else dec
+                kind = getattr(func, "attr", getattr(func, "id", None))
+                if kind == "cache":
+                    found["%s:%s" % (name, node.name)] = "None"
+                elif kind == "lru_cache":
+                    args = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args if call else []
+                    found["%s:%s" % (name, node.name)] = ast.unparse(args[0]) if args else "128"
+    assert found == PROCESS_CACHES
+    assert uses == len(found)  # no cache made other than as a decorator
+    from wondertoric.fans import FAN_CACHE_SIZE
+    from wondertoric.lattice import CACHE_SIZE
+
+    assert (CACHE_SIZE, FAN_CACHE_SIZE) == (1024, 32)
+
+
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
