@@ -34,9 +34,6 @@ class LiftedChernPoly:
     ring: GradedRing
     coefficients: tuple  # RingElement per power of t, constant term first
 
-    def coeff_polys(self):
-        return [c.poly() for c in self.coefficients]
-
 
 def product_of_linear_factors(factors, ring):
     """Coefficient list (constant first) of prod_j (t + a_j)."""

@@ -21,9 +21,11 @@ lattice unchanged lies in the ideal of the earlier ones plus the unit
 monomials, and so do its multiples: no slice keeps it, and every slice
 spans the lattice of all the relations.
 
-Slice rows are sparse {column: coefficient} dicts that `shifted_rows` builds
-from a relation's terms and a shift: each exponent tuple of a slice packs into
-one int, so a shifted term's column is one lookup of a sum of two ints.
+A ring packs each monomial once into an int, a digit per generator in a
+radix above every degree asked, first generator most significant: descending
+int order is the order of `monomials(d)`, and a product is a sum.  Slice
+columns, `shifted_rows` and `vector_of` work on packed ints; only normal
+forms and `standard_monomials` read exponent tuples.
 
 Polynomials are dicts mapping exponent tuples (one slot per generator) to
 integer coefficients; `canon_terms` freezes them for storage.
@@ -74,10 +76,6 @@ def pmul(a, b):
             else:
                 out.pop(e, None)
     return out
-
-
-def pmul_mono(a, exps, coeff=1):
-    return {tuple(x + y for x, y in zip(e, exps)): c * coeff for e, c in a.items()}
 
 
 def ppow(a, k, nvars):
@@ -133,9 +131,7 @@ class GradedRing:
     tables are cached per degree, normal forms per input polynomial.
     """
 
-    def __init__(
-        self, names, relations, eliminate=(), substitutions=None, substituted=None
-    ):
+    def __init__(self, names, relations, eliminate=(), substitutions=None, substituted=None):
         self.names = tuple(names)
         self.nvars = len(self.names)
         self.relations = tuple(r if isinstance(r, tuple) else canon_terms(r) for r in relations)
@@ -151,11 +147,24 @@ class GradedRing:
         self.surviving = tuple(i for i in range(self.nvars) if i not in set(eliminate))
         self._subbed = None if substituted is None else tuple(substituted)
         self._split = None
-        self._standard = {}
-        self._tables = {}
-        self._kept = []  # the (terms, degree) relations the built slices kept
+        self._encode(4)
+        self._tuples = {}
         self._powers = {}
         self._normal = {}
+
+    def _encode(self, bits):
+        """Pack exponents in radix 2**bits, first generator most significant,
+        and drop every packed slice: they are rebuilt in the new radix."""
+        self._bits = bits
+        self._shifts = [bits * (self.nvars - 1 - i) for i in range(self.nvars)]
+        self._weights = [1 << s for s in self._shifts]
+        self._gens = [(self._weights[i], 1 << i) for i in self.surviving]
+        self._standard = []  # per degree: ({packed: column}, support bitmasks)
+        self._tables = []
+        self._kept = []  # the (terms, degree) relations the built slices kept
+
+    def _pack(self, e):
+        return sum(map(operator.mul, e, self._weights))
 
     # -- substitution ------------------------------------------------------
 
@@ -171,21 +180,14 @@ class GradedRing:
         for e, c in p.items():
             if len(e) != self.nvars:
                 raise ValueError("exponent length mismatch")
-            base = [0] * self.nvars
-            factor = None
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if i in self.substitutions:
-                    piece = self._power(i, k)
-                    factor = piece if factor is None else pmul(factor, piece)
-                else:
-                    base[i] = k
-            term = {tuple(base): c}
-            if factor is not None:
-                term = pmul_mono(factor, tuple(base), c)
-            out = padd(out, term)
-        return out
+            term, hit = {e: c}, [i for i in self.eliminate if e[i]]
+            if hit:
+                term = {tuple(0 if i in self.substitutions else k for i, k in enumerate(e)): c}
+                for i in hit:
+                    term = pmul(term, self._power(i, e[i]))
+            for x, c2 in term.items():
+                out[x] = out.get(x, 0) + c2
+        return {e: c for e, c in out.items() if c}
 
     def substituted_relations(self):
         if self._subbed is None:
@@ -222,78 +224,77 @@ class GradedRing:
             out.append(tuple(e))
         return out
 
-    def standard_monomials(self, d):
-        """The degree-d monomials in surviving vars that no unit-monomial
-        relation divides, in the order of `monomials(d)`.
+    def _columns(self, d):
+        """The degree-d standard monomials, packed, as ({packed: column},
+        support bitmasks by column), in the order of `monomials(d)`.
 
         The set is closed under taking divisors, so it grows from degree d-1:
         a monomial is standard when it is no unit relation itself and each of
         its quotients by one variable is standard, that is when as many pairs
-        (standard m of degree d-1, variable i) reach it as it has variables.
-        Exponents pack into ints in base d + 1, first generator most
-        significant, so descending int order is the order of `monomials(d)`.
-        """
-        if d not in self._standard:
-            units = self._split_relations()[0]
-            if d == 0:
-                zero = (0,) * self.nvars
-                out = [] if zero in units else [zero]
-            else:
-                weights = [(d + 1) ** (self.nvars - 1 - i) for i in range(self.nvars)]
-                count, via = {}, {}  # packed monomial: pairs reaching it, one of them
-                for m in self.standard_monomials(d - 1):
-                    packed, support = sum(map(operator.mul, m, weights)), self.nvars - m.count(0)
-                    for i in self.surviving:
-                        k = packed + weights[i]
-                        if k in count:
-                            count[k] += 1
-                        else:
-                            count[k], via[k] = 1, (m, i, support + (not m[i]))
-                out = []
-                for k in sorted(count, reverse=True):
-                    m, i, support = via[k]
-                    if count[k] == support and (e := m[:i] + (m[i] + 1,) + m[i + 1 :]) not in units:
-                        out.append(e)
-            self._standard[d] = out
+        (standard m of degree d-1, variable i) reach it as its support has
+        bits.  The radix exceeds d, so no digit carries, and descending int
+        order is the order of `monomials(d)`."""
+        if d >> self._bits:
+            self._encode(d.bit_length())
+        while len(self._standard) <= d:
+            e = len(self._standard)
+            units = {self._pack(u) for u in self._split_relations()[0] if sum(u) == e}
+            if not e:
+                self._standard.append(({}, []) if 0 in units else ({0: 0}, [0]))
+                continue
+            count, masks = {}, {}  # packed monomial: pairs reaching it, its support
+            for m, mask in zip(*self._standard[e - 1]):
+                for w, bit in self._gens:
+                    k = m + w
+                    if k in count:
+                        count[k] += 1
+                    else:
+                        count[k], masks[k] = 1, mask | bit
+            keep = [k for k in sorted(count, reverse=True) if count[k] == masks[k].bit_count() and k not in units]
+            self._standard.append(({k: c for c, k in enumerate(keep)}, [masks[k] for k in keep]))
         return self._standard[d]
 
+    def standard_monomials(self, d):
+        """The degree-d monomials in surviving vars that no unit-monomial
+        relation divides, as exponent tuples, in the order of `monomials(d)`."""
+        if d not in self._tuples:
+            cols, digit = self._columns(d)[0], (1 << self._bits) - 1  # in this order: the radix may grow
+            self._tuples[d] = [tuple(k >> s & digit for s in self._shifts) for k in cols]
+        return self._tuples[d]
+
     def slice_table(self, d):
-        """(standard monomials, their column index, row echelon of the
+        """(packed standard monomials, their column index, row echelon of the
         degree-d relations over those columns).  Builds the slices below
         first, in degree order, so `_kept` holds what they kept."""
-        if d not in self._tables:
-            if d:
-                self.slice_table(d - 1)
-            momos = self.standard_monomials(d)
-            ech = RowEchelon(len(momos), sorted(self.shifted_rows(self._kept, d), key=len))
-            own = [r for r in self._split_relations()[1] if r[1] == d]
-            self._kept += [r for r, row in zip(own, self.shifted_rows(own, d)) if ech.insert(row)]
-            self._tables[d] = (momos, {e: k for k, e in enumerate(momos)}, ech)
+        self._columns(d)  # first: widening the radix drops every table
+        while len(self._tables) <= d:
+            e = len(self._tables)
+            cols = self._columns(e)[0]
+            ech = RowEchelon(len(cols), sorted(self.shifted_rows(self._kept, e), key=len))
+            own = [r for r in self._split_relations()[1] if r[1] == e]
+            self._kept += [r for r, row in zip(own, self.shifted_rows(own, e)) if ech.insert(row)]
+            self._tables.append((list(cols), cols, ech))
         return self._tables[d]
 
     def shifted_rows(self, polys, d):
         """Sparse rows over the degree-d standard monomials: each (terms,
         degree) pair of degree at most d times each standard monomial lifting
-        it to degree d, with the terms off the standard columns dropped."""
-        # base d + 1: no entry of a degree-d exponent exceeds d, so keys are unique
-        weights = [(d + 1) ** i for i in range(self.nvars)]
-
-        def pack(e):
-            return sum(map(operator.mul, e, weights))
-
-        cols = {pack(e): k for k, e in enumerate(self.standard_monomials(d))}
-        shifts = [[pack(m) for m in self.standard_monomials(d - e)] for e in range(d + 1)]
+        it to degree d, with the terms off the standard columns dropped.  A
+        shifted term's column is one lookup of a sum of two packed ints."""
+        cols = self._columns(d)[0]
+        shifts = [self._standard[d - e][0] for e in range(d + 1)]
         for rel, e in polys:
             if e > d:
                 continue
-            terms = [(pack(m), c) for m, c in rel]
+            terms = [(self._pack(m), c) for m, c in rel]
             for shift in shifts[e]:
                 yield {k: c for t, c in terms if (k := cols.get(t + shift)) is not None}
 
     def vector_of(self, p, d):
-        """Sparse coefficients of p on the degree-d standard columns."""
+        """Sparse coefficients of p, homogeneous of degree d, on the degree-d
+        standard columns."""
         index = self.slice_table(d)[1]
-        return {index[e]: c for e, c in p.items() if e in index}
+        return {index[k]: c for e, c in p.items() if (k := self._pack(e)) in index}
 
     def normal_form(self, p):
         """Canonical representative: substitute, then reduce each homogeneous
@@ -304,9 +305,8 @@ class GradedRing:
         if key not in self._normal:
             out = {}
             for d, part in psplit(self.substitute(p)).items():
-                momos, _, ech = self.slice_table(d)
-                reduced = ech.reduce_vector(self.vector_of(part, d))
-                for e, c in zip(momos, reduced):
+                reduced = self.slice_table(d)[2].reduce_vector(self.vector_of(part, d))
+                for e, c in zip(self.standard_monomials(d), reduced):
                     if c:
                         out[e] = c
             self._normal[key] = RingElement(self, canon_terms(out))
@@ -377,11 +377,8 @@ def toric_relations(f, nvars):
             e[r] += 1
         yield "SR", {"rays": list(s)}, {tuple(e): 1}
     for i in range(f.rank):
-        p = {}
-        for r, ray in enumerate(f.rays):
-            if ray[i]:
-                p = padd(p, pvar(r, nvars, ray[i]))
-        yield "linear", {"coordinate": i}, p
+        terms = (pvar(r, nvars, ray[i]).popitem() for r, ray in enumerate(f.rays) if ray[i])
+        yield "linear", {"coordinate": i}, dict(terms)
 
 
 def danilov_ring(f):

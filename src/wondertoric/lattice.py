@@ -133,10 +133,15 @@ class RowEchelon:
 
     def torsion(self):
         """Elementary divisors > 1 of the row lattice (torsion of the
-        quotient restricted to the pivot-supported part)."""
+        quotient restricted to the pivot-supported part).  In the HNF a unit
+        pivot's column is zero off its row, so that row and column split off
+        a unit divisor: only the other rows, on the other columns, remain."""
         if all(p[j] == 1 for j, p in self.pivots.items()):
             return ()
-        return tuple(d for d in elementary_divisors(self.hnf_rows()) if d != 1)
+        self.back_reduce()
+        rest = [p for j, p in sorted(self.pivots.items()) if p[j] != 1]
+        cols = sorted(set().union(*rest))
+        return tuple(d for d in elementary_divisors([[p.get(k, 0) for k in cols] for p in rest]) if d != 1)
 
 
 def _sparse(row):

@@ -27,17 +27,7 @@ from types import MappingProxyType
 
 from .building import BuildingSet, antichains, combined_lattice, is_nested_plus
 from .chern import lift_chern_relative
-from .cohomology import (
-    GradedRing,
-    canon_terms,
-    danilov_ring,
-    padd,
-    pdegree,
-    pmul,
-    ppow,
-    pvar,
-    toric_relations,
-)
+from .cohomology import GradedRing, canon_terms, danilov_ring, pdegree, toric_relations
 from .errors import InvariantViolated, NotGood, NotNested
 from .fans import fan_to_dict, pairing, rays_in_kernel, validate_good
 from .layers import layer_to_dict, torus
@@ -143,13 +133,16 @@ def _minimal_empty(building, nested, f):
     )
     for p in nested.members:
         start &= poset.below[building.members[p]]
+    # an empty antichain is minimal when each facet, left out of the walk
+    # only if empty, meets; one member has only the empty facet, the start
+    masks = dict(antichains(building.members, poset, start))
     pos = {i: p for p, i in enumerate(building.members)}
     empty = sorted(
         (len(sub), tuple(sorted(pos[i] for i in sub)))
-        for sub, mask in antichains(building.members, poset, start)
-        if not mask
+        for sub, mask in masks.items()
+        if not mask and (len(sub) == 1 or all(masks.get(sub[:k] + sub[k + 1 :]) for k in range(len(sub))))
     )
-    return [a for _, a in empty if not any(set(b) < set(a) for _, b in empty)]
+    return [a for _, a in empty]
 
 
 def _frozen(x):
@@ -177,18 +170,21 @@ def _irredundant(supersets, where):
     members of A - B, since the components of an intersection are disjoint,
     so if dropping j keeps where(B), it keeps where(A).  So the walk finds
     every irredundant set and no other."""
-    found = []
-
-    def walk(a, start):
+    found, stack = [], [((), 0)]
+    while stack:
+        a, start = stack.pop()
         found.append(a)
         for k in range(start, len(supersets)):
             b = a + (supersets[k],)
             w = where(b)
             if all(where(b[:x] + b[x + 1 :]) != w for x in range(len(b))):
-                walk(b, k + 1)
-
-    walk((), 0)
+                stack.append((b, k + 1))
     return sorted(found, key=lambda a: (len(a), a))
+
+
+def _concat(coeffs, powers):
+    """sum_k coeffs[k] powers[k], on the c_r then the t_h, as sorted terms."""
+    return tuple(sorted((c + t, x * y) for terms, pw in zip(coeffs, powers) for c, x in terms for t, y in pw.items()))
 
 
 def _assemble(model, nested, lift_rel):
@@ -211,20 +207,14 @@ def _assemble(model, nested, lift_rel):
     poset = building.poset
     ids, incl = building.members, poset.inclusion
 
-    def ext(p):
-        return {e + (0,) * m: c for e, c in p.items()}
-
     if "ring" not in memo:  # relation-free, on the model generators: substitutes each group
         names = base.names + tuple("t:%d" % p for p in range(m))
-        subst = {v: ext(p) for v, p in base.substitutions.items()}
+        subst = {v: {e + (0,) * m: c for e, c in p.items()} for v, p in base.substitutions.items()}
         memo["ring"] = GradedRing(names, (), base.eliminate, subst)
     sub = memo["ring"]
 
     def mono(*idx):
-        e = [0] * nvars
-        for i in idx:
-            e[i] += 1
-        return {tuple(e): 1}
+        return {tuple(map(idx.count, range(nvars))): 1}
 
     def relations(groups):  # (name, provenance, poly)s -> (terms, substituted terms)s
         out = []
@@ -251,33 +241,44 @@ def _assemble(model, nested, lift_rel):
     def component(where):  # the layer of a poset id, the torus for None
         return torus(n) if where is None else poset.elements[where]
 
+    def shift_powers(i, count):
+        """shift_i^k for k < count on the t_h, shift_i minus the sum of the
+        t_h of the members G_h inside G_i: kept per member, grown by a loop."""
+        powers = memo.setdefault(("shift", i), [{(0,) * m: 1}])
+        inside = [h for h in range(m) if incl[ids[h]][ids[i]]]
+        while len(powers) < count:
+            power = {}
+            for e, c in powers[-1].items():
+                for h in inside:
+                    x = e[:h] + (e[h] + 1,) + e[h + 1 :]
+                    power[x] = power.get(x, 0) - c
+            powers.append(power)
+        return powers
+
     def lifted(i, where):
         """sum_k coeff_k shift_i^k for the lift of (G_i, M), M the poset
         element `where` or the torus, as (terms, substituted terms): built,
-        degree-checked and substituted once per pair.  F(i, A) is t^A times
-        it, so its degree is |A| more, for every A."""
+        degree-checked and substituted once per pair.  A coefficient lives
+        on the c_r, shift_i^k on the t_h in degree k, so each product is a
+        concatenation of exponents and no two terms meet.  F(i, A) is t^A
+        times it, so its degree is |A| more, for every A."""
         g = ids[i]
         # keyed by poset ids, since a Layer would hash its Fractions; no
         # other key starts with "F base"
         key = ("F base", g, where)
         if key not in memo:
             mlayer = component(where)
-            shift = {}  # minus the t_h of the members G_h inside G_i
-            for h in range(m):
-                if incl[ids[h]][g]:
-                    shift = padd(shift, pvar(nc + h, nvars, -1))
-            p = lift_rel(member_layers[i], mlayer, base, f)
-            poly = {}
-            for k, coeff in enumerate(p.coeff_polys()):
-                poly = padd(poly, pmul(ext(coeff), ppow(shift, k, nvars)))
-            have, want = pdegree(poly), member_layers[i].codim - mlayer.codim
+            coeffs = [c.terms for c in lift_rel(member_layers[i], mlayer, base, f).coefficients]
+            powers = shift_powers(i, len(coeffs))
+            t = _concat(coeffs, powers)
+            have, want = pdegree(e for e, _ in t), member_layers[i].codim - mlayer.codim
             # no F(i, A) may be empty: its degree want + |A| is positive
-            if not poly or have != want:
+            if not t or have != want:
                 raise InvariantViolated(
                     "F base of member %d over component %r has degree %d, not %d" % (i, where, have, want)
                 )
-            t, s = canon_terms(poly), canon_terms(sub.substitute(poly))
-            memo[key] = (t, t if s == t else s)
+            subbed = [canon_terms(base.substitute(dict(c))) for c in coeffs]
+            memo[key] = (t, t if subbed == coeffs else _concat(subbed, powers))
         return memo[key]
 
     def times(terms, a):  # t^A times canonical terms: adding e keeps their order
@@ -344,7 +345,7 @@ def _assemble(model, nested, lift_rel):
         """Every relation family in document order, through convert, or
         f_family for the F families; the kept ones under memo keys of kind."""
         out = list(kept(("shared", kind), lambda: convert(toric_relations(f, nvars))))
-        out += convert(("stratum_c", {"ray": r}, pvar(r, nvars)) for r in dead)
+        out += convert(("stratum_c", {"ray": r}, mono(r)) for r in dead)
         out += kept(("tc", kind), lambda: convert(tc()))
         for i in range(m):
             out += kept(("F", kind, i, above[i]), functools.partial(f_family, i, above[i]))

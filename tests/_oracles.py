@@ -23,6 +23,9 @@ all-monomial slice references run on it.  Standard monomials are grown by
 tuple slicing, and the F relations are built one polynomial per (member,
 superset choice) from a fresh lift on a fresh base ring, all of them into
 one ring; the irredundant superset choices are every choice, filtered.
+Each F base is kept as the dict-polynomial sum of coefficient times shift
+power, by `pmul` and `ppow`, and the minimal empty antichains (the F0
+groups) by the filter over every pair of empty antichains.
 
 The last section keeps checkers that no command runs, so the package does
 not ship them: `value_on` and `layer_inclusion` (layer inclusion by lattice
@@ -58,11 +61,11 @@ from wondertoric.cohomology import (
     pconst,
     pdegree,
     pmul,
-    pmul_mono,
     ppow,
     psplit,
     pvar,
 )
+from wondertoric.building import antichains
 from wondertoric.errors import BudgetExhausted, InvariantViolated, NoBasis
 from wondertoric.fans import (
     Fan,
@@ -95,6 +98,10 @@ from wondertoric.layers import (
     layer_to_dict,
     torus,
 )
+
+
+def pmul_mono(a, exps, coeff=1):
+    return {tuple(x + y for x, y in zip(e, exps)): c * coeff for e, c in a.items()}
 
 
 def minimal_containing_reference(candidate_ids, poset, lam):
@@ -276,6 +283,27 @@ def f0_reference(f, building, nested):
     return found
 
 
+def minimal_empty_filter_reference(building, nested, f):
+    """present._minimal_empty with its all-pairs filter: every empty
+    antichain of the mask walk, then those with no empty proper subset
+    among them."""
+    poset = building.poset
+    start = sum(
+        1 << k
+        for k, e in enumerate(poset.elements)
+        if not any(pairing(chi, f.rays[i]) for i in nested.rays for chi in e.gamma.basis)
+    )
+    for p in nested.members:
+        start &= poset.below[building.members[p]]
+    pos = {i: p for p, i in enumerate(building.members)}
+    empty = sorted(
+        (len(sub), tuple(sorted(pos[i] for i in sub)))
+        for sub, mask in antichains(building.members, poset, start)
+        if not mask
+    )
+    return [a for _, a in empty if not any(set(b) < set(a) for _, b in empty)]
+
+
 def poset_closure_reference(arrangement):
     """build_layer_poset by passes over every ordered pair of the pool, self
     pairs included, until a pass adds nothing."""
@@ -372,11 +400,36 @@ def standard_monomials_reference(ring, d):
     return sorted(out, reverse=True)
 
 
-def f_groups_reference(model, nested):
+def f_base_reference(model, i, mlayer, lift_rel=lift_chern_relative, base=None):
+    """The F base of member i over mlayer, by dict polynomials: sum_k
+    coeff_k shift_i^k, with shift_i minus the sum of the t_h of the members
+    inside G_i, by pmul and ppow on the model generators; as (terms, terms
+    of its substitution in the relation-free ring on those generators).
+    base defaults to the Model's."""
+    f, building = model.fan, model.building
+    base = base or model.base
+    m, nc = building.size, len(f.rays)
+    nvars = nc + m
+    ids, incl = building.members, building.poset.inclusion
+    shift = {}
+    for h in range(m):
+        if incl[ids[h]][ids[i]]:
+            shift = padd(shift, pvar(nc + h, nvars, -1))
+    lift = lift_rel(building.member_layer(i), mlayer, base, f)
+    poly = {}
+    for k, coeff in enumerate(c.poly() for c in lift.coefficients):
+        ext = {e + (0,) * m: c for e, c in coeff.items()}
+        poly = padd(poly, pmul(ext, ppow(shift, k, nvars)))
+    subst = {v: {e + (0,) * m: c for e, c in p.items()} for v, p in base.substitutions.items()}
+    sub = GradedRing(base.names + tuple("t:%d" % p for p in range(m)), (), base.eliminate, subst)
+    return canon_terms(poly), canon_terms(sub.substitute(poly))
+
+
+def f_groups_reference(model, nested, lift_rel=lift_chern_relative):
     """The F groups of a model or stratum presentation, built per (i, A):
-    sum_k coeff_k shift_i^k for a fresh lift of (G_i, M) on a fresh base
-    ring, times t^A, degree-checked.  As (group, provenance, terms) triples
-    in the order of present._assemble, provenance in its JSON form."""
+    f_base_reference for a fresh lift of (G_i, M) on a fresh base ring,
+    times t^A, degree-checked.  As (group, provenance, terms) triples in the
+    order of present._assemble, provenance in its JSON form."""
     f, building = model.fan, model.building
     base = danilov_ring(f)
     m, nc = building.size, len(f.rays)
@@ -387,10 +440,6 @@ def f_groups_reference(model, nested):
         g_layer, g = building.member_layer(i), ids[i]
         s_i = [p for p in nested.members if ids[p] != g and incl[g][ids[p]]]
         supersets = [j for j in range(m) if ids[j] != g and incl[g][ids[j]]]
-        shift = {}
-        for h in range(m):
-            if incl[ids[h]][g]:
-                shift = padd(shift, pvar(nc + h, nvars, -1))
         for size in range(len(supersets) + 1):
             for a in itertools.combinations(supersets, size):
                 combo = sorted(set(a) | set(s_i))
@@ -400,11 +449,7 @@ def f_groups_reference(model, nested):
                     mlayer = building.poset.elements[where]
                 else:
                     mlayer = torus(f.rank)
-                lift = lift_chern_relative(g_layer, mlayer, base, f)
-                poly = {}
-                for k, coeff in enumerate(lift.coeff_polys()):
-                    ext = {e + (0,) * m: c for e, c in coeff.items()}
-                    poly = padd(poly, pmul(ext, ppow(shift, k, nvars)))
+                poly = from_terms(f_base_reference(model, i, mlayer, lift_rel, base)[0])
                 e = [0] * nvars
                 for j in a:
                     e[nc + j] += 1
@@ -1076,8 +1121,8 @@ def lift_chern_pair(G, M, ring, f):
     p_rel = make_lifted(factors[k:], ring)
     # coefficient-wise identity of the product
     prod = [pconst(0, ring.nvars) for _ in p_g.coefficients]
-    for i, a in enumerate(p_m.coeff_polys()):
-        for j, b in enumerate(p_rel.coeff_polys()):
+    for i, a in enumerate(c.poly() for c in p_m.coefficients):
+        for j, b in enumerate(c.poly() for c in p_rel.coefficients):
             prod[i + j] = padd(prod[i + j], pmul(a, b))
     for got, want in zip(prod, p_g.coefficients):
         if ring.normal_form(got).terms != want.terms:
@@ -1089,7 +1134,8 @@ def full_hnf_rows(ring, d, rows=None):
     """HNF over all of `ring.monomials(d)`: a unit row per non-standard
     monomial plus `rows` (default: the slice's HNF), which live on the
     standard columns, placed in their columns."""
-    _, index, ech = ring.slice_table(d)
+    ech = ring.slice_table(d)[2]
+    index = set(ring.standard_monomials(d))
     allmomos = ring.monomials(d)
     width = len(allmomos)
     where = [j for j, e in enumerate(allmomos) if e in index]

@@ -536,6 +536,41 @@ def test_insert_says_whether_the_row_was_outside_the_lattice(seq, data):
     assert RowEchelon(n, order).hnf_rows() == ech.hnf_rows() == ref.hnf_rows()
 
 
+@st.composite
+def mixed_echelons(draw):
+    """A RowEchelon whose rows have leading entries 1 and others, one row
+    per pivot column, entries after the pivot in -6..6; then a few random
+    rows, which may merge pivots through the xgcd step."""
+    n = draw(st.integers(2, 7))
+    heads = draw(st.lists(st.sampled_from((1, 1, 2, 3, 4, 6, -1, -2)), min_size=n, max_size=n))
+    cols = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    ech = RowEchelon(n)
+    for j in sorted(cols):
+        ech.insert([0] * j + [heads[j]] + draw(st.lists(st.integers(-6, 6), min_size=n - j - 1, max_size=n - j - 1)))
+    for row in draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=2)):
+        ech.insert(row)
+    return ech
+
+
+@settings(max_examples=300, deadline=None)
+@given(ech=mixed_echelons(), reduced=st.booleans())
+def test_torsion_equals_the_divisors_of_the_whole_hnf(ech, reduced):
+    # the unit pivots split off; the rest must give the Smith form of it all
+    if reduced:
+        ech.back_reduce()
+    got = ech.torsion()  # before hnf_rows, which back-reduces
+    assert got == tuple(d for d in elementary_divisors(ech.hnf_rows()) if d != 1)
+
+
+def test_torsion_of_mixed_pivots_examples():
+    # a unit pivot with entries in a non-unit pivot's column and beyond
+    assert RowEchelon(3, [[1, 3, 5], [0, 2, 4], [0, 0, 6]]).torsion() == (2, 6)
+    assert RowEchelon(3, [[1, 1, 1], [0, 4, 2]]).torsion() == (2,)
+    # the unit pivot's column is cleared above it before the row goes
+    assert RowEchelon(2, [[2, 1], [0, 1]]).torsion() == (2,)
+    assert RowEchelon(2, [[1, 0], [0, 1]]).torsion() == ()
+
+
 def test_insert_grows_the_lattice_through_the_xgcd_step():
     ech = RowEchelon(1, [[2]])
     assert ech.insert([3]) is True  # 2Z + 3Z = Z: the pivot 2 becomes 1

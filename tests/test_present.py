@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import importlib
 import os
 import pathlib
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import types
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ import wondertoric
 from wondertoric.building import BuildingSet, building_set, nested_plus_sets
 from _oracles import (
     all_subsets_ring,
+    f_base_reference,
     f_groups_reference,
     ideal_equal_up_to,
     induced_fan,
@@ -441,7 +444,7 @@ def unreduced_lift(g, mlayer, ring, f):
     zero in the ring, but written in v, so the F bases need substituting."""
     p = lift_chern_relative(g, mlayer, ring, f)
     v, coeffs = ring.eliminate[0], []
-    for k, c in enumerate(p.coeff_polys()):
+    for k, c in enumerate(x.poly() for x in p.coefficients):
         d = len(p.coefficients) - 1 - k
         if d:
             c = padd(padd(c, {tuple(d * (i == v) for i in range(ring.nvars)): 1}),
@@ -484,6 +487,72 @@ def test_f_groups_of_every_curves_stratum_equal_the_reference():
         check_f_groups(stratum_ideal(model, nested), model, nested)
         # a hooked stratum builds its F bases afresh
         check_f_groups(stratum_ideal(model, nested, lift_rel=lift_chern_relative), model, nested)
+
+
+def check_f_bases(model):
+    """Every F base the Model keeps is the dict-polynomial sum of
+    coefficient times shift power, and so is its substitution."""
+    elements, pos = model.building.poset.elements, {g: i for i, g in enumerate(model.building.members)}
+    bases = f_bases(model)
+    assert bases
+    for (g, where), got in bases.items():
+        mlayer = torus(model.fan.rank) if where is None else elements[where]
+        assert got == f_base_reference(model, pos[g], mlayer)
+
+
+def check_hooked_f_bases(model, nested):
+    # a hook's coefficients are written in an eliminated generator: the
+    # listed F(i, A) keep them, the ring's substituted relations do not
+    pres = _assemble_with(model, nested, unreduced_lift)
+    got = [(g, plain(prov), t) for g, prov, t in pres.groups if g == "F"]
+    assert got == f_groups_reference(model, nested, unreduced_lift)
+    ring = pres.ring
+    fresh = GradedRing(ring.names, ring.relations, ring.eliminate, ring.substitutions)
+    assert ring.substituted_relations() == fresh.substituted_relations()
+
+
+@pytest.mark.parametrize("stem", GOLDEN_STEMS)
+def test_f_bases_equal_the_dict_polynomial_reference(stem):
+    f, b = golden_fan_and_building(stem)
+    model = Model(f, b)
+    model_ideal(model)
+    check_f_bases(model)
+    check_hooked_f_bases(model, nested_set())
+
+
+def test_f_bases_of_every_curves_stratum_equal_the_dict_polynomial_reference():
+    f, b = golden_fan_and_building("p1xp1_curves")
+    model = Model(f, b)
+    for t, r in nested_plus_sets(b, f):
+        stratum_ideal(model, nested_set(t, r))
+        check_hooked_f_bases(model, nested_set(t, r))
+    check_f_bases(model)
+
+
+def test_a_model_is_freed_by_reference_counting():
+    # nothing in the assembly may refer to itself: a cycle through one of
+    # its functions would hold a dead Model, or its memo, until a full
+    # collection
+    f, b = golden_fan_and_building("p1xp1_curves")
+    gc.collect()
+    gc.disable()
+    try:
+        model = Model(f, b)
+        pres = model_ideal(model)
+        hilbert_function(pres)
+        hilbert_function(stratum_ideal(model, nested_set(members=[0])))
+        presentation_to_dict(pres)
+        refs = [weakref.ref(model), weakref.ref(model.assembled["ring"]), weakref.ref(pres.ring)]
+        del model, pres
+        assert [r() for r in refs] == [None, None, None]
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        held = [getattr(x, "__qualname__", "") for x in gc.garbage]
+        assert [q for q in held if q.startswith("_assemble.")] == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def filtered_listing(pres, model, nested):

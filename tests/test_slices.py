@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from _oracles import (
     FullSlices,
     full_hnf_rows,
+    full_slice_reference,
     ideal_equal_up_to,
     restriction_kernel_reference,
     restriction_kernel_report,
@@ -211,6 +212,46 @@ def test_slices_with_a_surviving_pure_power_match_reference():
         assert (d, 0, 0) in ring.standard_monomials(d)
     ref = check_slices(ring, 6)
     check_normal_forms(ring, 6, ref)
+
+
+# -- packed monomials past the starting radix -----------------------------------
+
+
+def check_slice(ring, d):
+    momos, _, ech = full_slice_reference(ring, d)
+    assert ring.standard_monomials(d) == standard_monomials_reference(ring, d)
+    assert ring.graded_rank(d) == len(momos) - ech.rank
+    assert ring.graded_torsion(d) == ech.torsion()
+    assert full_hnf_rows(ring, d) == ech.hnf_rows()
+
+
+@pytest.mark.parametrize("degrees", [(300, 0, 17, 16, 15, 257, 256, 255), (15, 16, 17, 255, 256, 257, 300)])
+def test_pure_powers_stay_exact_past_the_starting_radix(degrees):
+    # x^d and y^d survive every degree, so a digit reaches d: asked for at
+    # once or degree by degree, the radix grows by re-encoding, never by a
+    # carry into the next generator's digit
+    xy = GradedRing("xy", [{(1, 1): 1}])
+    # 2y^d stays a row: Z/2 in every degree from 3 on, x^d dies
+    torsion = GradedRing("xy", [{(1, 1): 1}, {(2, 0): 1, (0, 2): -2}])
+    for d in degrees:
+        assert xy.standard_monomials(d) == ([(0, 0)] if d == 0 else [(d, 0), (0, d)])
+        for ring in (xy, torsion):
+            check_slice(ring, d)
+        if d >= 3:
+            assert (torsion.graded_rank(d), torsion.graded_torsion(d)) == (0, (2,))
+            assert torsion.normal_form({(0, d): 3, (d, 0): 5}).terms == (((0, d), 1),)
+
+
+def test_cube_model_slices_stay_exact_above_the_starting_radix():
+    _, pres, ref = cube_model()
+    ring = GradedRing(pres.ring.names, pres.ring.relations, pres.ring.eliminate, pres.ring.substitutions)
+    top = 17  # above the radix the first slices are packed in
+    assert ring.graded_rank(top) == 0 and ring.graded_torsion(top) == ()
+    for d in range(top + 1):
+        assert ring.standard_monomials(d) == standard_monomials_reference(ring, d), d
+    assert [ring.graded_rank(d) for d in range(top + 1)] == [1, 7, 7, 1] + [0] * (top - 3)
+    check_slices(ring, 4, ref)
+    check_normal_forms(ring, 4, ref)
 
 
 # -- Hypothesis cases ------------------------------------------------------------

@@ -25,6 +25,7 @@ from _oracles import (
     closure_nonempty_with_orbit,
     f0_reference,
     minimal_containing_reference,
+    minimal_empty_filter_reference,
     nested_plus_reference,
     nested_reference,
     poset_closure_reference,
@@ -307,3 +308,24 @@ def test_mask_walk_and_lookups_match_layer_forms(arrangement, data):
     pairs = nested_plus_sets(b, P1XP1)
     for _ in range(3):
         check_antichains(b, P1XP1, nested_set(*data.draw(st.sampled_from(pairs))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangement=arrangements(), data=st.data())
+def test_minimal_empty_facet_test_equals_the_pairwise_filter(arrangement, data):
+    # an empty antichain is minimal iff every facet meets; strata with rays
+    # start the walk from fewer elements, so no facet is tested at the start
+    b = building_set(build_layer_poset(arrangement))
+    pairs = nested_plus_sets(b, P1XP1)
+    sets = [nested_set()] + [nested_set(*data.draw(st.sampled_from(pairs))) for _ in range(4)]
+    sets += [nested_set(t, r) for t, r in pairs if r and not t][:4]
+    for nested in sets:
+        assert _minimal_empty(b, nested, P1XP1) == minimal_empty_filter_reference(b, nested, P1XP1)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_minimal_empty_facet_test_equals_the_pairwise_filter_on_every_stratum(name):
+    f, _, b = CASES[name]
+    for t, r in nested_plus_sets(b, f) if b.size <= 12 else [((), ())]:
+        nested = nested_set(t, r)
+        assert _minimal_empty(b, nested, f) == minimal_empty_filter_reference(b, nested, f)
