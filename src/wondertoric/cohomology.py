@@ -2,30 +2,44 @@
 
 Rings are presented on named degree-2 generators with homogeneous integer
 relations.  All graded queries reduce to exact integer linear algebra on one
-graded slice at a time: no Groebner machinery, no rational arithmetic in the
-quotients.
+graded slice at a time, with no rational arithmetic in the quotients.
 
-A slice is indexed by the standard monomials of its degree: the monomials in
-the surviving generators that no unit-monomial relation (one term with
-coefficient +-1, such as a Stanley-Reisner product) divides.  Z[x] modulo
-monomials is free on them, so only the other relations become rows, shifted
-by standard monomials, with their non-standard terms dropped.  The HNF over
-all monomials is a unit row per non-standard monomial plus the HNF over the
-standard ones, so ranks, torsion and `normal_form` are those of the slice
-over all monomials.
+The standard monomials of a degree are the monomials in the surviving
+generators that no unit-monomial relation (one term with coefficient +-1,
+such as a Stanley-Reisner product) divides; Z[x] modulo monomials is free on
+them.  A unit lead is the pivot, with coefficient 1, of a row in the
+echelon of a lower slice.  A degree-d slice has a column per standard
+monomial that no unit lead divides.  Every other standard monomial
+m = x^b l, l a unit lead, reads as its normal form on those columns: minus
+x^b times the other terms of l's row, each in normal form.  The order of
+`monomials(d)` is lex, which multiplication keeps, and a row's pivot is its
+first column, so those terms come after m and are done first.  The rows
+m - NF(m) lie in the ideal and are unitriangular on these monomials, so the
+quotient by the relations is Z^columns modulo the normal forms of the
+relations, torsion included.  The HNF over all standard monomials has a
+pivot 1 on each such m and zeros there in its other rows, which are the
+slice's HNF: ranks, torsion and `normal_form` (the normal form, then
+reduction by the slice's HNF) are those of the slice over all monomials.
+This is a Groebner basis over Z truncated to unit leading coefficients
+(Adams-Loustaunau, An Introduction to Groebner Bases, ch. 4).
 
-A slice needs the slices below it.  Its echelon takes the rows of the
-relations they kept, shifted, shortest row first, then the own row of each
-relation of its degree, in relation order.  A relation whose row leaves the
-lattice unchanged lies in the ideal of the earlier ones plus the unit
-monomials, and so do its multiples: no slice keeps it, and every slice
-spans the lattice of all the relations.
+A slice needs the slices below it.  One walk grows each standard monomial
+of its degree once, from its quotient by its last generator, in the order of
+`monomials(d)`: m is standard when it is no unit relation and each m / x_a
+is standard, and a unit lead divides m when it divides or is some m / x_a.
+The echelon takes the rows of the relations the lower slices kept, shifted
+by standard monomials and read through the normal forms, zero rows dropped,
+shortest row first, then the own row of each relation of its degree, in
+relation order.  A relation whose row leaves the lattice unchanged lies in
+the ideal of the earlier ones plus the unit monomials, and so do its
+multiples: no slice keeps it, and every slice spans the lattice of all the
+relations.
 
 A ring packs each monomial once into an int, a digit per generator in a
 radix above every degree asked, first generator most significant: descending
-int order is the order of `monomials(d)`, and a product is a sum.  Slice
-columns, `shifted_rows` and `vector_of` work on packed ints; only normal
-forms and `standard_monomials` read exponent tuples.
+int order is the order of `monomials(d)`, a product is a sum and a quotient
+a difference.  The walk, the rows and `vector_of` work on packed ints; only
+normal forms read exponent tuples.
 
 Polynomials are dicts mapping exponent tuples (one slot per generator) to
 integer coefficients; `canon_terms` freezes them for storage.
@@ -127,8 +141,8 @@ class GradedRing:
     `eliminate` lists generator indices removed via the degree-1 relations;
     `substitutions` maps each of them to its expression in the surviving
     generators.  `substituted`, when the caller has it, is what
-    `substituted_relations` would compute.  Standard monomials and slice
-    tables are cached per degree, normal forms per input polynomial.
+    `substituted_relations` would compute.  Slices are cached per degree,
+    normal forms per input polynomial.
     """
 
     def __init__(self, names, relations, eliminate=(), substitutions=None, substituted=None):
@@ -148,20 +162,21 @@ class GradedRing:
         self._subbed = None if substituted is None else tuple(substituted)
         self._split = None
         self._encode(4)
-        self._tuples = {}
         self._powers = {}
         self._normal = {}
 
     def _encode(self, bits):
         """Pack exponents in radix 2**bits, first generator most significant,
-        and drop every packed slice: they are rebuilt in the new radix."""
+        and drop every packed slice, lead and reducer: they are rebuilt in
+        the new radix."""
         self._bits = bits
         self._shifts = [bits * (self.nvars - 1 - i) for i in range(self.nvars)]
         self._weights = [1 << s for s in self._shifts]
-        self._gens = [(self._weights[i], 1 << i) for i in self.surviving]
-        self._standard = []  # per degree: ({packed: column}, support bitmasks)
+        self._gens = [self._weights[i] for i in self.surviving]
+        self._walks = []  # per degree: (standard monomials, supports, reducers, images)
         self._tables = []
-        self._kept = []  # the (terms, degree) relations the built slices kept
+        self._kept = []  # the (packed terms, degree) relations the built slices kept
+        self._tails = {}  # unit lead: its row's other terms, negated
 
     def _pack(self, e):
         return sum(map(operator.mul, e, self._weights))
@@ -224,77 +239,96 @@ class GradedRing:
             out.append(tuple(e))
         return out
 
-    def _columns(self, d):
-        """The degree-d standard monomials, packed, as ({packed: column},
-        support bitmasks by column), in the order of `monomials(d)`.
+    def _walk(self, d):
+        """The degree-d standard monomials in the order of `monomials(d)`,
+        their supports (positions in `_gens`, ascending) and the reducer
+        (l, b) of each one that a lower unit lead l divides, b = m / l.
 
-        The set is closed under taking divisors, so it grows from degree d-1:
-        a monomial is standard when it is no unit relation itself and each of
-        its quotients by one variable is standard, that is when as many pairs
-        (standard m of degree d-1, variable i) reach it as its support has
-        bits.  The radix exceeds d, so no digit carries, and descending int
-        order is the order of `monomials(d)`."""
-        if d >> self._bits:
-            self._encode(d.bit_length())
-        while len(self._standard) <= d:
-            e = len(self._standard)
-            units = {self._pack(u) for u in self._split_relations()[0] if sum(u) == e}
-            if not e:
-                self._standard.append(({}, []) if 0 in units else ({0: 0}, [0]))
-                continue
-            count, masks = {}, {}  # packed monomial: pairs reaching it, its support
-            for m, mask in zip(*self._standard[e - 1]):
-                for w, bit in self._gens:
-                    k = m + w
-                    if k in count:
-                        count[k] += 1
-                    else:
-                        count[k], masks[k] = 1, mask | bit
-            keep = [k for k in sorted(count, reverse=True) if count[k] == masks[k].bit_count() and k not in units]
-            self._standard.append(({k: c for c, k in enumerate(keep)}, [masks[k] for k in keep]))
-        return self._standard[d]
+        Each monomial m grows once, from its quotient q by its last generator.
+        m is standard when it is no unit relation and each m / x_a, a in its
+        support, is; a lower lead divides m when it divides some m / x_a, so
+        m takes the reducer of q, else of its first other quotient that has
+        one.  The reducers of degree d-1 include its own unit leads."""
+        units = self._split_relations()[0]
+        if not d:
+            return ([], [], {}) if (0,) * self.nvars in units else ([0], [()], {})
+        own = {self._pack(u) for u in units if sum(u) == d}
+        gens = self._gens
+        prev, prev_supports, prev_reducers = self._walks[d - 1][:3]
+        standard = set(prev)
+        mons, supports, reducers = [], [], {}
+        for q, support in zip(prev, prev_supports):
+            first, reducer = support[-1] if support else 0, prev_reducers.get(q)
+            for p in range(first, len(gens)):
+                m = q + gens[p]
+                if m in own:
+                    continue
+                r = None if reducer is None else (reducer[0], reducer[1] + gens[p])
+                for a in support:
+                    k = m - gens[a]
+                    if k not in standard:
+                        break
+                    if r is None and k in prev_reducers:
+                        r = prev_reducers[k]
+                        r = (r[0], r[1] + gens[a])
+                else:
+                    mons.append(m)
+                    supports.append(support if p == first and support else support + (p,))
+                    if r is not None:
+                        reducers[m] = r
+        return mons, supports, reducers
 
-    def standard_monomials(self, d):
-        """The degree-d monomials in surviving vars that no unit-monomial
-        relation divides, as exponent tuples, in the order of `monomials(d)`."""
-        if d not in self._tuples:
-            cols, digit = self._columns(d)[0], (1 << self._bits) - 1  # in this order: the radix may grow
-            self._tuples[d] = [tuple(k >> s & digit for s in self._shifts) for k in cols]
-        return self._tuples[d]
+    @staticmethod
+    def _row(terms, shift, image):
+        """The sparse row over the slice columns of the packed terms times the
+        packed shift, each term read through `image`: a column as itself, a
+        reducible monomial as its normal form, a non-standard one not at all."""
+        row = {}
+        for t, c in terms:
+            for j, a in image.get(t + shift, ()):
+                row[j] = row.get(j, 0) + c * a
+        return {j: c for j, c in row.items() if c}
 
     def slice_table(self, d):
-        """(packed standard monomials, their column index, row echelon of the
-        degree-d relations over those columns).  Builds the slices below
-        first, in degree order, so `_kept` holds what they kept."""
-        self._columns(d)  # first: widening the radix drops every table
+        """(packed columns, their column index, row echelon of the degree-d
+        relations over those columns).  Builds the slices below first, in
+        degree order, so the leads, reducers and `_kept` of the lower
+        degrees are there."""
+        if d >> self._bits:
+            self._encode(d.bit_length())
         while len(self._tables) <= d:
             e = len(self._tables)
-            cols = self._columns(e)[0]
-            ech = RowEchelon(len(cols), sorted(self.shifted_rows(self._kept, e), key=len))
-            own = [r for r in self._split_relations()[1] if r[1] == e]
-            self._kept += [r for r, row in zip(own, self.shifted_rows(own, e)) if ech.insert(row)]
-            self._tables.append((list(cols), cols, ech))
+            mons, supports, reducers = self._walk(e)
+            cols = [k for k in mons if k not in reducers]
+            index = {k: j for j, k in enumerate(cols)}
+            # a column reads as itself; a reducible monomial x^b l as minus x^b
+            # times l's tail, in normal form, whose terms are all smaller
+            image = {k: ((j, 1),) for k, j in index.items()}
+            for m in reversed(mons):
+                if m in reducers:
+                    lead, b = reducers[m]
+                    image[m] = tuple(self._row(self._tails[lead], b, image).items())
+            self._walks.append((mons, supports, reducers, image))
+            rows = (self._row(t, s, image) for t, k in self._kept for s in self._walks[e - k][0])
+            ech = RowEchelon(len(cols), sorted(filter(None, rows), key=len))
+            for rel, k in self._split_relations()[1]:
+                if k == e:
+                    terms = [(self._pack(m), c) for m, c in rel]
+                    if ech.insert(self._row(terms, 0, image)):
+                        self._kept.append((terms, k))
+            for j, row in ech.pivots.items():
+                if row[j] == 1:  # a unit lead for the degrees above
+                    lead = cols[j]
+                    self._tails[lead] = [(cols[i], -c) for i, c in row.items() if i != j]
+                    reducers[lead] = (lead, 0)
+            self._tables.append((cols, index, ech))
         return self._tables[d]
-
-    def shifted_rows(self, polys, d):
-        """Sparse rows over the degree-d standard monomials: each (terms,
-        degree) pair of degree at most d times each standard monomial lifting
-        it to degree d, with the terms off the standard columns dropped.  A
-        shifted term's column is one lookup of a sum of two packed ints."""
-        cols = self._columns(d)[0]
-        shifts = [self._standard[d - e][0] for e in range(d + 1)]
-        for rel, e in polys:
-            if e > d:
-                continue
-            terms = [(self._pack(m), c) for m, c in rel]
-            for shift in shifts[e]:
-                yield {k: c for t, c in terms if (k := cols.get(t + shift)) is not None}
 
     def vector_of(self, p, d):
         """Sparse coefficients of p, homogeneous of degree d, on the degree-d
-        standard columns."""
-        index = self.slice_table(d)[1]
-        return {index[k]: c for e, c in p.items() if (k := self._pack(e)) in index}
+        slice columns, each reducible monomial read as its normal form."""
+        self.slice_table(d)
+        return self._row([(self._pack(e), c) for e, c in p.items()], 0, self._walks[d][3])
 
     def normal_form(self, p):
         """Canonical representative: substitute, then reduce each homogeneous
@@ -305,10 +339,12 @@ class GradedRing:
         if key not in self._normal:
             out = {}
             for d, part in psplit(self.substitute(p)).items():
-                reduced = self.slice_table(d)[2].reduce_vector(self.vector_of(part, d))
-                for e, c in zip(self.standard_monomials(d), reduced):
+                cols, _, ech = self.slice_table(d)
+                reduced = ech.reduce_vector(self.vector_of(part, d))
+                digit = (1 << self._bits) - 1  # after slice_table: the radix may grow
+                for k, c in zip(cols, reduced):
                     if c:
-                        out[e] = c
+                        out[tuple(k >> s & digit for s in self._shifts)] = c
             self._normal[key] = RingElement(self, canon_terms(out))
         return self._normal[key]
 

@@ -30,7 +30,8 @@ groups) by the filter over every pair of empty antichains.
 The last section keeps checkers that no command runs, so the package does
 not ship them: `value_on` and `layer_inclusion` (layer inclusion by lattice
 arithmetic), `lift_chern_pair` (P_G, P_M and P_G_rel from one shared
-adapted basis), `full_hnf_rows` and `ideal_equal_up_to` (relation lattices
+adapted basis), `standard_monomials` and `unpacked` (the monomials a
+ring's slice walk grew, as exponent tuples), `full_hnf_rows` and `ideal_equal_up_to` (relation lattices
 compared over all monomials), and `RingMap`, `restriction_map`,
 `kernel_lattice`, `ideal_slice` and `restriction_kernel_report` (the
 restriction onto a layer closure and its kernel, degree by degree), with
@@ -1130,25 +1131,37 @@ def lift_chern_pair(G, M, ring, f):
     return p_g, p_m, p_rel
 
 
+def unpacked(ring, packed):
+    """The exponent tuples of a ring's packed monomials."""
+    digit = (1 << ring._bits) - 1
+    return [tuple(k >> s & digit for s in ring._shifts) for k in packed]
+
+
+def standard_monomials(ring, d):
+    """The degree-d monomials in the surviving generators that no
+    unit-monomial relation divides, as exponent tuples, in the order of
+    `monomials(d)`: the monomials the ring's degree-d walk grew."""
+    ring.slice_table(d)
+    return unpacked(ring, ring._walks[d][0])
+
+
 def full_hnf_rows(ring, d, rows=None):
-    """HNF over all of `ring.monomials(d)`: a unit row per non-standard
-    monomial plus `rows` (default: the slice's HNF), which live on the
-    standard columns, placed in their columns."""
-    ech = ring.slice_table(d)[2]
-    index = set(ring.standard_monomials(d))
+    """HNF over all of `ring.monomials(d)`, rebuilt from three kinds of row: a
+    unit row per non-standard monomial, the row m - NF(m) per monomial m that
+    a lower unit lead divides, and `rows` (default: the slice's HNF), which
+    live on the slice columns."""
+    cols, index, ech = ring.slice_table(d)
+    mons, _, _, image = ring._walks[d]
     allmomos = ring.monomials(d)
-    width = len(allmomos)
-    where = [j for j, e in enumerate(allmomos) if e in index]
-    by_pivot = {}
-    for j, e in enumerate(allmomos):
-        if e not in index:
-            by_pivot[j] = tuple(int(k == j) for k in range(width))
+    pos = {ring._pack(e): j for j, e in enumerate(allmomos)}
+    where = [pos[k] for k in cols]
+    full = RowEchelon(len(allmomos), ({pos[k]: 1} for k in pos.keys() - set(mons)))
+    for m, form in image.items():
+        if m not in index:
+            full.insert({pos[m]: 1, **{where[j]: -c for j, c in form}})
     for row in ech.hnf_rows() if rows is None else rows:
-        full = [0] * width
-        for j, c in zip(where, row):
-            full[j] = c
-        by_pivot[where[next(k for k, c in enumerate(row) if c)]] = tuple(full)
-    return [by_pivot[j] for j in sorted(by_pivot)]
+        full.insert({where[j]: c for j, c in enumerate(row) if c})
+    return full.hnf_rows()
 
 
 def ideal_equal_up_to(pres_a, pres_b, max_degree):
@@ -1222,8 +1235,11 @@ def ideal_slice(ring, extra_gens, d):
     """HNF over `monomials(d)` of the degree-d span of the ring's relations
     plus extra ideal generators (given as polynomials)."""
     ech = ring.slice_table(d)[2]
-    gens = [(p.items(), pdegree(p)) for p in map(ring.substitute, extra_gens) if p]
-    span = RowEchelon(ech.ncols, itertools.chain(ech.hnf_rows(), ring.shifted_rows(gens, d)))
+    span = RowEchelon(ech.ncols, ech.hnf_rows())
+    for p in map(ring.substitute, extra_gens):
+        if p and pdegree(p) <= d:
+            for shift in ring.monomials(d - pdegree(p)):
+                span.insert(ring.vector_of(pmul_mono(p, shift), d))
     return tuple(full_hnf_rows(ring, d, span.hnf_rows()))
 
 

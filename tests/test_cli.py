@@ -1,6 +1,7 @@
 import argparse
 import collections
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -62,6 +63,11 @@ MATRIX = [
      "stratum_two_rays.json", 0),
     # rank 4: (P1)^4 and its coordinate hyperplanes, 15 members
     ("rank4/p1x4_hyperplanes", "check", [], "check.json", 0),
+    # root systems on their Weyl-chamber fans (roots/make_jobs.py): slices
+    # with non-unit pivots; B3's meets split into components
+    ("roots/a3", "check", [], "check.json", 0),
+    ("roots/a3_half", "check", [], "check.json", 0),
+    ("roots/b3", "check", [], "check.json", 0),
 ]
 
 
@@ -72,6 +78,32 @@ def test_golden(stem, command, extra, suffix, want, tmp_path):
     assert code == want
     with open(golden_path("%s.%s" % (stem, suffix)), "rb") as fh:
         assert got == fh.read()
+
+
+def _root_jobs():
+    path = os.path.join(GOLDEN, "roots", "make_jobs.py")
+    spec = importlib.util.spec_from_file_location("make_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ROOT_JOBS = _root_jobs()
+
+
+@pytest.mark.parametrize("stem", sorted(ROOT_JOBS.JOBS))
+def test_root_jobs_are_what_make_jobs_writes(stem):
+    with open(golden_path("roots/%s.job.json" % stem)) as fh:
+        assert json.load(fh) == ROOT_JOBS.JOBS[stem]
+
+
+@pytest.mark.parametrize(
+    "stem,name,members,rays",
+    [(stem, *case) for stem, cases in sorted(ROOT_JOBS.STRATA.items()) for case in cases],
+)
+def test_root_strata_summaries(stem, name, members, rays):
+    with open(golden_path("roots/%s.stratum_%s.json" % (stem, name))) as fh:
+        assert ROOT_JOBS.stratum_summary(stem, members, rays) == fh.read()
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -1,9 +1,10 @@
-"""Standard-monomial slices against the all-monomial reference slices.
+"""Ring slices against the all-monomial reference slices.
 
-A ring's slices have a column per standard monomial only.  Every graded
-query must read as it does on `_oracles.full_slice_reference`, which has a
-column per monomial and a row per relation: ranks, torsion, normal forms,
-the HNF over all monomials and the restriction-kernel verdicts.
+A ring's slices have a column per standard monomial that no unit pivot of a
+lower slice divides.  Every graded query must read as it does on
+`_oracles.full_slice_reference`, which has a column per monomial and a row
+per relation: ranks, torsion, normal forms, the HNF over all monomials and
+the restriction-kernel verdicts.
 """
 
 import functools
@@ -24,7 +25,9 @@ from _oracles import (
     restriction_kernel_reference,
     restriction_kernel_report,
     restriction_map,
+    standard_monomials,
     standard_monomials_reference,
+    unpacked,
 )
 from wondertoric.building import building_set, nested_plus_sets
 from wondertoric.cohomology import GradedRing, danilov_ring, pvar
@@ -128,7 +131,7 @@ def test_golden_slices_match_reference(stem):
 def test_cube_model_slices_match_reference():
     _, pres, ref = cube_model()
     ring = pres.ring
-    assert len(ring.standard_monomials(4)) < len(ring.monomials(4))
+    assert len(standard_monomials(ring, 4)) < len(ring.monomials(4))
     check_slices(ring, 4, ref)
     check_normal_forms(ring, 4, ref)
 
@@ -176,7 +179,7 @@ def test_ideal_equal_when_only_one_ring_lists_a_monomial():
     diff = {(2, 0): 1, (0, 2): -1}
     with_monomial = GradedRing(names, [xy, diff])
     without = GradedRing(names, [{(1, 1): 1, (2, 0): 1, (0, 2): -1}, diff])
-    assert with_monomial.standard_monomials(2) != without.standard_monomials(2)
+    assert standard_monomials(with_monomial, 2) != standard_monomials(without, 2)
 
     def pres(ring):
         return ModelPresentation(None, None, None, ring, tuple)
@@ -189,7 +192,7 @@ def test_ideal_equal_when_only_one_ring_lists_a_monomial():
 def test_non_unit_monomial_relation_stays_a_row():
     # 2xy is a monomial, but not a unit one: it leaves torsion Z/2 in degree 2
     ring = GradedRing(("x", "y"), [{(1, 1): 2}, {(2, 0): 1}, {(0, 2): -1}])
-    assert ring.standard_monomials(2) == [(1, 1)]
+    assert standard_monomials(ring, 2) == [(1, 1)]
     assert ring.graded_torsion(2) == (2,)
     check_slices(ring, 3)
 
@@ -209,7 +212,7 @@ def test_slices_with_a_surviving_pure_power_match_reference():
         ],
     )
     for d in range(7):
-        assert (d, 0, 0) in ring.standard_monomials(d)
+        assert (d, 0, 0) in standard_monomials(ring, d)
     ref = check_slices(ring, 6)
     check_normal_forms(ring, 6, ref)
 
@@ -219,7 +222,7 @@ def test_slices_with_a_surviving_pure_power_match_reference():
 
 def check_slice(ring, d):
     momos, _, ech = full_slice_reference(ring, d)
-    assert ring.standard_monomials(d) == standard_monomials_reference(ring, d)
+    assert standard_monomials(ring, d) == standard_monomials_reference(ring, d)
     assert ring.graded_rank(d) == len(momos) - ech.rank
     assert ring.graded_torsion(d) == ech.torsion()
     assert full_hnf_rows(ring, d) == ech.hnf_rows()
@@ -234,7 +237,7 @@ def test_pure_powers_stay_exact_past_the_starting_radix(degrees):
     # 2y^d stays a row: Z/2 in every degree from 3 on, x^d dies
     torsion = GradedRing("xy", [{(1, 1): 1}, {(2, 0): 1, (0, 2): -2}])
     for d in degrees:
-        assert xy.standard_monomials(d) == ([(0, 0)] if d == 0 else [(d, 0), (0, d)])
+        assert standard_monomials(xy, d) == ([(0, 0)] if d == 0 else [(d, 0), (0, d)])
         for ring in (xy, torsion):
             check_slice(ring, d)
         if d >= 3:
@@ -248,7 +251,7 @@ def test_cube_model_slices_stay_exact_above_the_starting_radix():
     top = 17  # above the radix the first slices are packed in
     assert ring.graded_rank(top) == 0 and ring.graded_torsion(top) == ()
     for d in range(top + 1):
-        assert ring.standard_monomials(d) == standard_monomials_reference(ring, d), d
+        assert standard_monomials(ring, d) == standard_monomials_reference(ring, d), d
     assert [ring.graded_rank(d) for d in range(top + 1)] == [1, 7, 7, 1] + [0] * (top - 3)
     check_slices(ring, 4, ref)
     check_normal_forms(ring, 4, ref)
@@ -403,7 +406,7 @@ def unit_monomial_rings(draw):
 @given(ring=unit_monomial_rings())
 def test_standard_monomials_equal_the_tuple_slicing_reference(ring):
     for d in range(6):
-        assert ring.standard_monomials(d) == standard_monomials_reference(ring, d), d
+        assert standard_monomials(ring, d) == standard_monomials_reference(ring, d), d
 
 
 @pytest.mark.parametrize("stem", STEMS)
@@ -414,4 +417,72 @@ def test_golden_standard_monomials_equal_the_reference(stem):
     rings += [stratum_ideal(model, nested_set(t, r)).ring for t, r in nested_plus_sets(pres.building, f)]
     for ring in rings:
         for d in range(f.rank + 2):
-            assert ring.standard_monomials(d) == standard_monomials_reference(ring, d), d
+            assert standard_monomials(ring, d) == standard_monomials_reference(ring, d), d
+
+
+# -- columns: the standard monomials no lower unit lead divides ---------------------
+
+
+def lead_free_columns_reference(ring, d):
+    """The degree-d standard monomials (tuple-slicing reference) that no unit
+    pivot of a lower slice divides, by comparing every exponent."""
+    leads = []
+    for e in range(d):
+        cols, _, ech = ring.slice_table(e)
+        leads += unpacked(ring, [cols[j] for j, row in ech.pivots.items() if row[j] == 1])
+    return [
+        m for m in standard_monomials_reference(ring, d)
+        if not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+    ]
+
+
+def check_lead_free_columns(ring, top):
+    empty = None
+    for d in range(top + 1):
+        cols = ring.slice_table(d)[0]
+        assert unpacked(ring, cols) == lead_free_columns_reference(ring, d), d
+        if empty is not None:
+            assert ring.graded_rank(d) == 0, (empty, d)
+        elif not cols:
+            empty = d
+
+
+@st.composite
+def square_lead_rings(draw):
+    """A ring on three or four generators whose relations of degree 2 and 3
+    each lead with a monomial holding a square (x^2, x^2 y, x^3), coefficient
+    +-1, ahead of up to two later terms in `monomials(d)` order; some unit
+    monomial relations with squares ride along."""
+    nvars = draw(st.integers(3, 4))
+    relations = []
+    for _ in range(draw(st.integers(1, 5))):
+        d = draw(st.sampled_from((2, 3)))
+        monos = all_monomials(nvars, d)
+        k = draw(st.sampled_from([i for i, e in enumerate(monos[:-1]) if max(e) >= 2]))
+        rel = {monos[k]: draw(st.sampled_from((-1, 1)))}
+        for e in draw(st.lists(st.sampled_from(monos[k + 1 :]), max_size=2, unique=True)):
+            rel[e] = draw(st.sampled_from((-2, -1, 1, 2)))
+        relations.append(rel)
+    squares = [e for e in all_monomials(nvars, 3) if max(e) == 2]
+    relations += [{e: 1} for e in draw(st.lists(st.sampled_from(squares), max_size=2, unique=True))]
+    return GradedRing(["x%d" % i for i in range(nvars)], relations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=st.one_of(unit_monomial_rings(), small_rings(), square_lead_rings()))
+def test_columns_are_the_standard_monomials_no_lower_unit_lead_divides(ring):
+    check_lead_free_columns(ring, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=square_lead_rings(), data=st.data())
+def test_square_lead_rings_match_reference(ring, data):
+    ref = check_slices(ring, 4)
+    for p in data.draw(st.lists(polynomials(ring.nvars, 4), min_size=1, max_size=4)):
+        assert ring.normal_form(p).terms == ref.normal_form(p)
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_golden_columns_are_lead_free(stem):
+    f, _, pres = golden_model(stem)
+    check_lead_free_columns(pres.ring, f.rank + 1)
