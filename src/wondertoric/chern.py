@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NoBasis
 from .fans import COEFF_ORDER, find_equal_sign_basis, one_signed, pairing
-from .cohomology import GradedRing, padd, pconst, pmul
+from .cohomology import GradedRing, padd, pconst, pmul, pvar
 from .lattice import adapted_basis
 
 
@@ -21,11 +21,9 @@ def divisor_class_raw(beta, f, nvars):
     a polynomial on nvars generators, not reduced in any ring."""
     p = {}
     for r, ray in enumerate(f.rays):
-        v = min(0, pairing(beta, ray))
-        if v:
-            e = [0] * nvars
-            e[r] = 1
-            p[tuple(e)] = -v
+        v = pairing(beta, ray)
+        if v < 0:
+            p.update(pvar(r, nvars, -v))
     return p
 
 
@@ -101,6 +99,8 @@ def lift_chern_relative(G, M, ring, f):
     Precondition, not checked here: G lies in M, and both are elements of
     one LayerPoset (so their lattices are saturated) or M is the torus."""
     basis, k = equal_sign_adapted_basis(f, G.gamma, M.gamma)
-    factors = [divisor_class_raw(b, f, ring.nvars) for b in basis[k:]]
-    return make_lifted(factors, ring)
+    key = (f, basis[k:])  # all the product depends on: pairs that share it share one
+    if key not in ring._lifted:
+        ring._lifted[key] = make_lifted([divisor_class_raw(b, f, ring.nvars) for b in key[1]], ring)
+    return ring._lifted[key]
 

@@ -142,7 +142,7 @@ class GradedRing:
     `substitutions` maps each of them to its expression in the surviving
     generators.  `substituted`, when the caller has it, is what
     `substituted_relations` would compute.  Slices are cached per degree,
-    normal forms per input polynomial.
+    normal forms per input polynomial, Chern lifts per equal-sign completion.
     """
 
     def __init__(self, names, relations, eliminate=(), substitutions=None, substituted=None):
@@ -164,6 +164,7 @@ class GradedRing:
         self._encode(4)
         self._powers = {}
         self._normal = {}
+        self._lifted = {}  # chern.lift_chern_relative: a lift per (fan, completion)
 
     def _encode(self, bits):
         """Pack exponents in radix 2**bits, first generator most significant,

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pathlib
 import re
 from fractions import Fraction
 
@@ -44,12 +45,14 @@ from wondertoric.fans import (
     validate_good,
     validate_smooth,
 )
+from wondertoric.jobs import job_poset, load_job
 from wondertoric.lattice import RowEchelon, saturate, span_rows, sublattice
 from wondertoric.layers import build_layer_poset, layer
 
 P1 = fan(1, [(1,), (-1,)], [(0,), (1,)])
 P1xP1 = fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (0, 3), (1, 2), (1, 3)])
 P2 = fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def lat(rows, n):
@@ -164,22 +167,6 @@ def test_equal_sign_examples():
     assert not rep.ok
     assert ("mixed_signs", (0, 1), 0) in rep.failures
     assert equal_sign_check_reference(P2, []).ok
-
-
-def test_equal_sign_implies_face_compat():
-    # checked on every lattice/fan pair used in this file
-    pairs = [
-        (P1xP1, lat([[1, 0]], 2)),
-        (P1xP1, lat([[0, 1]], 2)),
-        (P1xP1, lat([[1, 0], [0, 1]], 2)),
-        (P2, lat([[1, -1]], 2)),
-        (P2, lat([[1, 0]], 2)),
-    ]
-    for f, L in pairs:
-        basis = find_equal_sign_basis(f, L)
-        if basis is not None:
-            assert all(one_signed(f, chi) for chi in basis)
-            assert cone_face_compat(f, L).ok
 
 
 def test_find_equal_sign_basis_prefers_coordinates():
@@ -414,6 +401,67 @@ def test_sign_searches_equal_the_per_cone_references(f, data):
     # the search's canonical-row candidates: no basis means a mixed row
     if found is None:
         assert violation is not None
+
+
+@st.composite
+def subdivided_fan_lattices(draw):
+    """A fan of subdivided_fans and a sublattice of independent rows."""
+    f = draw(subdivided_fans())
+    return f, sublattice(independent_rows(draw, f.rank), f.rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(fan_lattices(), subdivided_fan_lattices()))
+@example(pair=(P1xP1, lat([[1, 0], [0, 1]], 2)))
+@example(pair=(P2, lat([[1, -1]], 2)))
+@example(pair=(P2, lat([[1, 0]], 2)))
+def test_equal_sign_implies_face_compat(pair):
+    # validate_good runs cone_face_compat only on a lattice with no
+    # equal-sign basis: this implication is what lets it skip the rest
+    f, L = pair
+    basis = find_equal_sign_basis.__wrapped__(f, L)
+    if basis is not None:
+        assert all(one_signed(f, chi) for chi in basis)
+        assert cone_face_compat.__wrapped__(f, L).ok
+
+
+@st.composite
+def one_signed_row_lattices(draw):
+    """A fan of subdivided_fans and a sublattice whose canonical rows are
+    all one-signed on it: spanned by one-signed characters with entries in
+    [-1, 1], or by the first of them alone when the span's rows are not."""
+    f = draw(subdivided_fans())
+    signed = [chi for chi in itertools.product((-1, 0, 1), repeat=f.rank) if any(chi) and one_signed(f, chi)]
+    rows = draw(st.lists(st.sampled_from(signed), min_size=1, max_size=f.rank, unique=True)) if signed else []
+    L = span_rows(rows, f.rank)
+    if not all(one_signed(f, chi) for chi in L.basis):
+        L = sublattice(rows[:1], f.rank)
+    return f, L
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=one_signed_row_lattices())
+def test_one_signed_canonical_rows_are_the_basis_found(pair):
+    f, L = pair
+    assert all(one_signed(f, chi) for chi in L.basis)
+    found = find_equal_sign_basis.__wrapped__(f, L)
+    assert found == L.basis == find_equal_sign_basis_reference(f, L, 2)
+    # the pick over every candidate, which the early return skips
+    cands = (cand for cand in fans_module._candidates(L) if one_signed(f, cand[1]))
+    assert fans_module._pick_basis(L.rank, cands) == found
+
+
+def test_validate_good_tests_faces_only_where_no_basis_exists(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fans_module, "cone_face_compat", lambda f, L: calls.append(L) or cone_face_compat(f, L))
+    job = load_job(GOLDEN / "cube_planes.job.json")
+    assert validate_good(job.fan, [e.gamma for e in job_poset(job).elements]).ok
+    assert calls == []
+    diag = lat([[1, -1]], 2)
+    rep = validate_good(P2, [lat([], 2), diag])  # no nonzero character is one-signed on P2
+    assert calls == [diag]
+    compat = cone_face_compat(P2, diag).failures
+    assert compat and rep.failures == (("no_equal_sign_basis", 1),) + tuple(("lattice", 1) + fl for fl in compat)
 
 
 def divergent_fans(steps):

@@ -51,7 +51,7 @@ from wondertoric.errors import (
     NotGood,
     NotNested,
 )
-from wondertoric import cli, present
+from wondertoric import chern, cli, present
 from wondertoric.cli import dumps
 from wondertoric.fans import (
     fan,
@@ -518,6 +518,30 @@ def test_f_bases_equal_the_dict_polynomial_reference(stem):
     model_ideal(model)
     check_f_bases(model)
     check_hooked_f_bases(model, nested_set())
+
+
+def test_lifts_that_share_a_completion_share_one_product(monkeypatch):
+    # the cube model's 23 Chern lifts have 9 distinct equal-sign completions;
+    # the base ring keeps one product per completion, and dies with its Model
+    lifts, products = [], []
+    monkeypatch.setattr(present, "lift_chern_relative", lambda *args: lifts.append(args) or lift_chern_relative(*args))
+    monkeypatch.setattr(
+        chern, "product_of_linear_factors", lambda fs, ring: products.append(ring) or product_of_linear_factors(fs, ring)
+    )
+    f, b = golden_fan_and_building("cube_planes")
+    first = Model(f, b)
+    model_ideal(first)
+    assert (len(lifts), len(products)) == (23, 9)
+    assert all(ring is first.base for ring in products)
+    elements, pos = b.poset.elements, {g: i for i, g in enumerate(b.members)}
+    for (g, where), got in f_bases(first).items():
+        mlayer = torus(f.rank) if where is None else elements[where]
+        assert got == f_base_reference(first, pos[g], mlayer, base=danilov_ring(f))  # a fresh ring's lift
+    kept, products[:] = dict(first.base._lifted), []
+    second = Model(f, b)
+    model_ideal(second)
+    assert len(products) == 9 and all(ring is second.base for ring in products)
+    assert second.base is not first.base and first.base._lifted == kept
 
 
 def test_f_bases_of_every_curves_stratum_equal_the_dict_polynomial_reference():
